@@ -2,7 +2,8 @@
 gen-cubic, involutions6, embed, matroid-build, reduce.
 
 Human-readable summaries go to stderr, machine JSON to stdout (or --out).
-Exit codes: 0 ok, 1 computational failure or failed verification, 2 usage.
+Exit codes: 0 ok, 1 computational failure or failed verification, 2 usage
+or malformed input.
 Every emitted certificate can be re-verified with --check, which runs only
 the cheap verification direction.
 """
@@ -14,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import RegmaError
+from .errors import InputError, RegmaError
 from .exact import format_rat, parse_rat
 from .graph import Cycle, betti, reduce_to_cubic
 from .involutions import InvolutionSet, six_involutions, verify_involutions
@@ -36,6 +37,45 @@ def _emit(args, payload: dict) -> None:
         print(text)
 
 
+def _load_certificate(path: str, build):
+    """build(text) for the certificate file at path; text whose JSON or
+    shape does not fit raises InputError."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return build(text)
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed certificate {path}: {exc!r}") from None
+
+
+def _rat(x) -> Fraction:
+    if not isinstance(x, str):
+        raise TypeError(f"expected a rational as a string, got {x!r}")
+    return parse_rat(x)
+
+
+def _rats(xs, count: int) -> tuple[Fraction, ...]:
+    if not isinstance(xs, list) or len(xs) != count:
+        raise ValueError(f"expected a list of {count} rationals")
+    return tuple(_rat(x) for x in xs)
+
+
+def _edge_ids(xs, m: int) -> frozenset[int]:
+    if not isinstance(xs, list) or not all(type(x) is int and 0 <= x < m for x in xs):
+        raise ValueError(f"expected a list of edge ids below {m}, got {xs!r}")
+    return frozenset(xs)
+
+
+def _systole_certificate(text: str, m: int) -> SystoleResult:
+    data = json.loads(text)
+    return SystoleResult(
+        _rat(data["value"]),
+        _rats(data["weights"], m),
+        tuple(Cycle(_edge_ids(c, m)) for c in data["tight_cycles"]),
+        tuple((Cycle(_edge_ids(c, m)), _rat(y)) for c, y in data["dual"]),
+    )
+
+
 def _cmd_systole(args) -> int:
     g = load_graph(args.graph)
     if args.weights:
@@ -46,13 +86,8 @@ def _cmd_systole(args) -> int:
                      "witness_cycle": sorted(cyc.edge_ids)})
         return 0
     if args.check:
-        data = json.loads(open(args.check, encoding="utf-8").read())
-        res = SystoleResult(
-            parse_rat(data["value"]),
-            tuple(parse_rat(x) for x in data["weights"]),
-            tuple(Cycle(frozenset(c)) for c in data["tight_cycles"]),
-            tuple((Cycle(frozenset(c)), parse_rat(y)) for c, y in data["dual"]),
-        )
+        res = _load_certificate(args.check,
+                                lambda text: _systole_certificate(text, g.m))
         ok = verify_systole(g, res)
         print(f"certificate {'ok' if ok else 'FAILED'}", file=sys.stderr)
         return 0 if ok else 1
@@ -74,11 +109,12 @@ def _cmd_systole(args) -> int:
 def _cmd_cogirth(args) -> int:
     m = parse_matroid_expr(args.matroid)
     if args.check:
-        data = json.loads(open(args.check, encoding="utf-8").read())
-        res = CogirthResult(parse_rat(data["value"]),
-                            tuple(parse_rat(x) for x in data["weights"]),
-                            int(data["witness"], 2))
-        ok = verify_cogirth(m, res)
+        def build(text: str) -> CogirthResult:
+            data = json.loads(text)
+            return CogirthResult(_rat(data["value"]), _rats(data["weights"], m.size),
+                                 int(data["witness"], 2))
+
+        ok = verify_cogirth(m, _load_certificate(args.check, build))
         print(f"certificate {'ok' if ok else 'FAILED'}", file=sys.stderr)
         return 0 if ok else 1
     res = cogirth(m)
@@ -110,10 +146,12 @@ def _cmd_embed(args) -> int:
     g = load_graph(args.graph)
     face = None
     if args.face:
-        ids = [int(x) for x in args.face.split(",")]
-        face = Cycle.from_edges(g, ids)
+        ids = args.face.split(",")
+        if not all(x.strip().isdecimal() and int(x) < g.m for x in ids):
+            raise InputError(f"--face needs edge ids below {g.m}, got {args.face!r}")
+        face = Cycle.from_edges(g, [int(x) for x in ids])
     if args.check:
-        cert = EmbeddingCertificate.from_json(open(args.check, encoding="utf-8").read())
+        cert = _load_certificate(args.check, EmbeddingCertificate.from_json)
         ok = verify_certificate(g, cert, face)
         print(f"certificate {'ok' if ok else 'FAILED'}", file=sys.stderr)
         return 0 if ok else 1
@@ -142,9 +180,12 @@ def _cmd_involutions6(args) -> int:
     if args.mult:
         mult = load_weights(args.mult, m.size)
     if args.check:
-        data = json.loads(open(args.check, encoding="utf-8").read())
-        s = InvolutionSet(tuple(int(v, 2) for v in data["vectors"]),
-                          tuple(data["counts"]))
+        def build(text: str) -> InvolutionSet:
+            data = json.loads(text)
+            return InvolutionSet(tuple(int(v, 2) for v in data["vectors"]),
+                                 tuple(data["counts"]))
+
+        s = _load_certificate(args.check, build)
         use = mult if mult is not None else [Fraction(1, m.size)] * m.size
         ok, ksum, bound = verify_involutions(m, use, s)
         print(f"certificate {'ok' if ok else 'FAILED'}: "
@@ -285,7 +326,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (RegmaError, OSError, json.JSONDecodeError) as exc:
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RegmaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

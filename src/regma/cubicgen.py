@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .errors import PreconditionError, check_guard
+from .errors import PreconditionError, VerificationError, check_guard
 from .graph import MultiGraph, betti, girth, is_three_edge_connected
 
 
@@ -67,10 +67,24 @@ def canonical_form(g: MultiGraph) -> str:
 def canonical_order(g: MultiGraph) -> tuple[int, ...]:
     """The vertex ordering realizing the minimal invariant encoding.
 
-    Columns emitted per labeled vertex are compared lexicographically, so at
-    each depth only candidates achieving the minimal column are explored
-    (ties all are). Adjacency counts to the prefix enter negated, which keeps
-    the prefix connected and collapses most ties."""
+    The vertex placed at depth k emits the column (negated adjacency counts
+    to the k placed vertices in order, loops, colour). Encodings compare
+    lexicographically, so at each depth only candidates achieving the minimal
+    column are explored (ties all are). Negated counts keep the prefix
+    connected and collapse most ties.
+
+    Branch and bound: while a prefix equals the best complete encoding found
+    so far, a node whose minimal column exceeds the best one at its depth is
+    not expanded, because every encoding below it is greater. Only strictly
+    worse subtrees are cut, so the search still reaches, in the same order,
+    every node on the way to the first minimal encoding. The minimum, the
+    returned ordering and so every canonical string are those of the
+    exhaustive search.
+
+    Each open vertex holds its column as one integer: the rank of its
+    (loops, colour) tail minus its counts to the prefix as base-B digits,
+    B a power of two above every multiplicity. Integer order is column order,
+    and placing or unplacing a vertex updates only its neighbours."""
     counts = _adjacency_counts(g)
     colors = _refine_colors(g, counts)
     n = g.n
@@ -82,36 +96,57 @@ def canonical_order(g: MultiGraph) -> tuple[int, ...]:
         by_color.setdefault(c, []).append(v)
     first_class = min(by_color.values(), key=lambda vs: (len(vs), colors[vs[0]]))
 
-    best_enc: list[tuple[int, ...]] | None = None
-    best_perm: tuple[int, ...] | None = None
+    tails = [(counts[v][v], colors[v]) for v in range(n)]
+    rank = {t: i for i, t in enumerate(sorted(set(tails)))}
+    tail_bits = len(rank).bit_length()
+    digit_bits = max(map(max, counts)).bit_length()
+    weight = [1 << (tail_bits + digit_bits * (n - 1 - i)) for i in range(n)]
+    placed = 1 << (tail_bits + digit_bits * n + 1)  # above every open key
+    key = [rank[t] for t in tails]
+    nbrs = [[(u, c) for u, c in enumerate(row) if c and u != v]
+            for v, row in enumerate(counts)]
 
-    def extend(perm: list[int], used: set[int], enc: list[tuple[int, ...]]):
+    perm = [0] * n
+    enc = [0] * n  # enc[0] is the same for every vertex of first_class
+    best_enc: list[int] = []
+    best_perm: tuple[int, ...] = ()
+
+    def place(v: int, i: int, sign: int):
+        """Place v at position i (sign 1) or take it back (sign -1)."""
+        perm[i] = v
+        key[v] += sign * placed
+        w = sign * weight[i]
+        for u, c in nbrs[v]:
+            key[u] -= c * w
+
+    def extend(k: int, less: bool) -> bool:
+        """Search below the k placed vertices, whose encoding is below
+        best_enc's prefix if `less` and equal to it otherwise. Returns whether
+        best_enc was replaced, after which the prefix equals its prefix."""
         nonlocal best_enc, best_perm
-        k = len(perm)
         if k == n:
-            if best_enc is None or enc < best_enc:
-                best_enc = list(enc)
-                best_perm = tuple(perm)
-            return
-        scored = sorted(
-            (tuple(-counts[v][p] for p in perm) + (counts[v][v], colors[v]), v)
-            for v in range(n) if v not in used
-        )
-        min_col = scored[0][0]
-        for col, v in scored:
-            if col != min_col:
-                break
-            enc.append(col)
-            perm.append(v)
-            used.add(v)
-            extend(perm, used, enc)
-            used.remove(v)
-            perm.pop()
-            enc.pop()
+            if less:
+                best_enc, best_perm = enc[:], tuple(perm)
+            return less
+        col = min(key)
+        if not less:
+            if col > best_enc[k]:
+                return False
+            less = col < best_enc[k]
+        enc[k] = col
+        improved = False
+        for v in [u for u in range(n) if key[u] == col]:
+            place(v, k, 1)
+            if extend(k + 1, less):
+                improved = True
+                less = False
+            place(v, k, -1)
+        return improved
 
     for v0 in first_class:
-        extend([v0], {v0}, [(colors[v0], counts[v0][v0])])
-    assert best_perm is not None
+        place(v0, 0, 1)
+        extend(1, not best_perm)
+        place(v0, 0, -1)
     return best_perm
 
 
@@ -345,7 +380,8 @@ def generate_cubic(n: int, min_girth: int = 3,
         raise PreconditionError("generate_cubic needs n >= 4")
     check_guard(n, 16, "generate_cubic")
     for g in _connected_cubic(n):
-        assert betti(g) == n // 2 + 1
+        if betti(g) != n // 2 + 1:
+            raise VerificationError(f"generated graph has Betti number {betti(g)}")
         if girth(g) < min_girth:
             continue
         if three_edge_connected and not is_three_edge_connected(g):

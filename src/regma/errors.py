@@ -35,6 +35,15 @@ class PreconditionError(RegmaError):
     """A documented operation precondition was violated."""
 
 
+class InputError(PreconditionError):
+    """Text or JSON from outside the program (a graph, matroid, weight or
+    certificate file, or a matroid expression) is malformed."""
+
+
+class VerificationError(RegmaError):
+    """A computed result failed its certificate or consistency check."""
+
+
 def check_guard(value: int, limit: int, what: str) -> None:
     """Raise GuardExceeded when value > limit, unless overridden by env."""
     if value > limit and not os.environ.get(GUARD_ENV):

@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import (AcyclicGraphError, DisconnectedGraphError,
+from .errors import (AcyclicGraphError, DisconnectedGraphError, InputError,
                      PreconditionError, check_guard)
 
 INFINITY = float("inf")
@@ -98,15 +98,20 @@ class MultiGraph:
 
     @staticmethod
     def parse(text: str) -> "MultiGraph":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        n, m = map(int, lines[0].split())
-        edges = []
-        for ln in lines[1 : 1 + m]:
-            u, v = map(int, ln.split())
-            edges.append((u, v))
-        if len(edges) != m:
-            raise PreconditionError("edge count does not match header")
-        return MultiGraph(n, tuple(edges))
+        """Inverse of format; malformed text raises InputError."""
+        rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+        try:
+            n, m = map(int, rows[0] if rows else ())
+            edges = tuple((int(u), int(v)) for u, v in rows[1 : 1 + m])
+        except ValueError as exc:
+            raise InputError(f"malformed graph file: {exc}") from None
+        if n < 0 or len(edges) != m:
+            raise InputError(f"malformed graph file: header '{n} {m}' with "
+                             f"{len(edges)} edge lines")
+        try:
+            return MultiGraph(n, edges)
+        except PreconditionError as exc:
+            raise InputError(f"malformed graph file: {exc}") from None
 
 
 EdgeWeights = tuple[Fraction, ...]

@@ -686,7 +686,6 @@ def isomorphic(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[int, int] | None:
     used = [False] * n
 
     def ok_so_far(v: int) -> bool:
-        assigned = set(range(v + 1))
         for c in c1:
             if all(x <= v for x in c):
                 if frozenset(image[x] for x in c) not in set2:

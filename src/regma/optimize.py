@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import AcyclicGraphError, PreconditionError, check_guard
+from .errors import (AcyclicGraphError, PreconditionError, VerificationError,
+                     check_guard)
 from .exact import Rat
 from .graph import (Cycle, EdgeWeights, MultiGraph, check_weights, girth,
                     min_cycles_per_edge, min_weight_cycle)
@@ -248,7 +249,8 @@ def systole(g: MultiGraph) -> SystoleResult:
     tight = tuple(c for c in active if c.weight(lam) == t)
     dual = [(c, y) for c, y in zip(active, sol.dual_ub) if y]
     res = SystoleResult(t, tuple(lam), tight, _normalize_dual(dual))
-    assert verify_systole(g, res)
+    if not verify_systole(g, res):
+        raise VerificationError("systole certificate failed verification")
     return res
 
 
@@ -264,13 +266,15 @@ def _systole_lp(m: int, cycles: Sequence[Cycle]) -> LPSolution:
         row[m] = ONE
         ub.append((row, ZERO))  # t - lambda(C) <= 0
     sol = lp_max(obj, eq, ub)
-    assert sol.status == "optimal"
+    if sol.status != "optimal":
+        raise VerificationError(f"cutting-plane LP ended {sol.status}")
     return sol
 
 
 def _normalize_dual(pairs: list[tuple[Cycle, Rat]]) -> tuple[tuple[Cycle, Rat], ...]:
     total = sum((y for _, y in pairs), ZERO)
-    assert total > 0
+    if total <= 0:
+        raise VerificationError("LP dual has no positive mass")
     return tuple((c, y / total) for c, y in sorted(pairs, key=lambda p: p[0].sorted_ids()))
 
 
@@ -386,7 +390,8 @@ def _cogirth_lp(cols: Sequence[int], active: Sequence[int]) -> LPSolution:
         row[n] = ONE
         ub.append((row, ZERO))
     sol = lp_max(obj, eq, ub)
-    assert sol.status == "optimal"
+    if sol.status != "optimal":
+        raise VerificationError(f"cutting-plane LP ended {sol.status}")
     return sol
 
 

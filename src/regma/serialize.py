@@ -17,7 +17,7 @@ import re
 from fractions import Fraction
 
 from .catalog import catalog
-from .errors import PreconditionError
+from .errors import InputError, RegmaError
 from .exact import BitMatrix, IntMatrix, format_rat, parse_rat
 from .graph import MultiGraph
 from .matroid import BinaryMatroid, cographic, dual, graphic, r10, simplify, sum1, sum2, sum3
@@ -33,9 +33,13 @@ def load_graph(spec: str) -> MultiGraph:
 
 def load_weights(path: str, m: int) -> tuple[Fraction, ...]:
     with open(path, encoding="utf-8") as fh:
-        vals = [parse_rat(ln) for ln in fh.read().split()]
+        text = fh.read()
+    try:
+        vals = [parse_rat(ln) for ln in text.split()]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed weight file {path}: {exc}") from None
     if len(vals) != m:
-        raise PreconditionError(f"expected {m} weights, got {len(vals)}")
+        raise InputError(f"expected {m} weights, got {len(vals)}")
     return tuple(vals)
 
 
@@ -55,25 +59,35 @@ def format_matroid(m: BinaryMatroid) -> str:
 
 
 def parse_matroid(text: str) -> BinaryMatroid:
+    """Inverse of format_matroid; malformed text raises InputError."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    d, n = map(int, lines[0].split())
-    rows = []
-    for ln in lines[1 : 1 + d]:
-        bits = ln.replace(" ", "")
-        if len(bits) != n or set(bits) - {"0", "1"}:
-            raise PreconditionError("bad bit row in matroid file")
-        rows.append([int(b) for b in bits])
+    try:
+        d, n = map(int, lines[0].split() if lines else ())
+        rows = [[int(b) for b in ln.replace(" ", "")] for ln in lines[1 : 1 + d]]
+        rest = lines[1 + d :]
+        lrows = None
+        if rest and rest[0] == "LIFT":
+            lrows = [[int(x) for x in ln.split()] for ln in rest[1 : 1 + d]]
+    except ValueError as exc:
+        raise InputError(f"malformed matroid file: {exc}") from None
+    if min(d, n) < 0 or len(rows) != d or any(len(r) != n or set(r) - {0, 1} for r in rows):
+        raise InputError("bad bit row in matroid file")
+    if lrows is not None and (len(lrows) != d or any(len(r) != n for r in lrows)):
+        raise InputError("bad LIFT row in matroid file")
     rep = BitMatrix.from_rows(rows) if d else BitMatrix(0, n, ())
     lift = None
-    rest = lines[1 + d :]
-    if rest and rest[0] == "LIFT":
-        lrows = [[int(x) for x in ln.split()] for ln in rest[1 : 1 + d]]
+    if lrows is not None:
         lift = IntMatrix.from_rows(lrows) if d else IntMatrix(0, n, ())
     labels = tuple(f"e{i}" for i in range(n))
-    return BinaryMatroid(labels, rep, lift, ("file",))
+    try:
+        return BinaryMatroid(labels, rep, lift, ("file",))
+    except RegmaError as exc:
+        raise InputError(f"matroid file: {exc}") from None
 
 
 _CALL = re.compile(r"^(\w+)\((.*)\)$")
+_ARITY = {"graphic": (1, 2), "cographic": (1, 1), "dual": (1, 1), "simplify": (1, 1),
+          "sum1": (2, 2), "sum2": (2, 2), "sum3": (2, 2)}
 
 
 def parse_matroid_expr(expr: str) -> BinaryMatroid:
@@ -86,13 +100,19 @@ def parse_matroid_expr(expr: str) -> BinaryMatroid:
             return parse_matroid(fh.read())
     m = _CALL.match(expr)
     if not m:
-        raise PreconditionError(f"cannot parse matroid expression {expr!r}")
+        raise InputError(f"cannot parse matroid expression {expr!r}")
     head, body = m.group(1), m.group(2)
+    if head not in _ARITY:
+        raise InputError(f"unknown construction {head!r}")
     args = _split_args(body)
+    lo, hi = _ARITY[head]
+    if not lo <= len(args) <= hi:
+        raise InputError(f"wrong number of arguments to {head}: {len(args)}")
     if head == "graphic":
         g = load_graph(args[0])
-        root = int(args[1]) if len(args) > 1 else 0
-        return graphic(g, root)
+        if len(args) > 1 and not args[1].isdecimal():
+            raise InputError(f"graphic root must be a vertex number, got {args[1]!r}")
+        return graphic(g, int(args[1]) if len(args) > 1 else 0)
     if head == "cographic":
         return cographic(load_graph(args[0]))
     if head == "dual":
@@ -105,12 +125,10 @@ def parse_matroid_expr(expr: str) -> BinaryMatroid:
         x, e1 = _split_at(args[0])
         y, e2 = _split_at(args[1])
         return sum2(parse_matroid_expr(x), e1, parse_matroid_expr(y), e2)
-    if head == "sum3":
-        x, t1 = _split_at(args[0])
-        y, t2 = _split_at(args[1])
-        return sum3(parse_matroid_expr(x), _parse_triple(t1),
-                    parse_matroid_expr(y), _parse_triple(t2))
-    raise PreconditionError(f"unknown construction {head!r}")
+    x, t1 = _split_at(args[0])
+    y, t2 = _split_at(args[1])
+    return sum3(parse_matroid_expr(x), _parse_triple(t1),
+                parse_matroid_expr(y), _parse_triple(t2))
 
 
 def _split_args(body: str) -> list[str]:
@@ -142,14 +160,14 @@ def _split_at(arg: str) -> tuple[str, str]:
             depth -= 1
         elif ch == "@" and depth == 0:
             return arg[:i].strip(), arg[i + 1 :].strip()
-    raise PreconditionError(f"expected expr@selector in {arg!r}")
+    raise InputError(f"expected expr@selector in {arg!r}")
 
 
 def _parse_triple(text: str) -> tuple[str, str, str]:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
-        raise PreconditionError("3-sum selector must be {a,b,c}")
+        raise InputError("3-sum selector must be {a,b,c}")
     parts = [p.strip() for p in text[1:-1].split(",")]
     if len(parts) != 3:
-        raise PreconditionError("3-sum selector needs three labels")
+        raise InputError("3-sum selector needs three labels")
     return tuple(parts)  # type: ignore[return-value]

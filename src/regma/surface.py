@@ -69,11 +69,16 @@ class EmbeddingCertificate:
 
     @staticmethod
     def from_json(text: str) -> "EmbeddingCertificate":
+        """Inverse of to_json; JSON of another shape raises ValueError,
+        KeyError or TypeError."""
         data = json.loads(text)
-        rot = RotationSystem(tuple(tuple(r) for r in data["rotations"]),
-                             tuple(data["signs"]))
-        return EmbeddingCertificate(rot, tuple(tuple(f) for f in data["faces"]),
-                                    data["chi"])
+        rotations = tuple(tuple(r) for r in data["rotations"])
+        faces = tuple(tuple(f) for f in data["faces"])
+        signs, chi = tuple(data["signs"]), data["chi"]
+        entries = (chi, *signs, *(d for r in rotations + faces for d in r))
+        if not all(type(x) is int for x in entries):
+            raise ValueError("embedding certificate entries must be integers")
+        return EmbeddingCertificate(RotationSystem(rotations, signs), faces, chi)
 
 
 def _dart_tables(g: MultiGraph, rot: RotationSystem):

@@ -141,6 +141,24 @@ class TestOthers:
         assert out1 == out2
 
 
+class TestMalformedInput:
+    """Malformed input gives one `error:` line and exit code 2."""
+
+    def test_graph_file_bad_token(self, tmp_path):
+        gfile = tmp_path / "g"
+        gfile.write_text("2 1\n0 x\n")
+        rc, _, err = run_cli("systole", str(gfile))
+        assert rc == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_certificate_without_weights(self, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"value": "1/3"}))
+        rc, _, err = run_cli("systole", "builtin:petersen", "--check", str(cert))
+        assert rc == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 class TestInProcessMain:
     def test_main_returns_int(self, capsys):
         assert main(["systole", "builtin:theta"]) == 0

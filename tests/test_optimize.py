@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,27 @@ class TestSystole:
         res = systole(g)
         assert verify_systole(g, res)
         assert sum(y for _, y in res.dual_dist) == 1
+
+    def test_failed_certificate_raises_under_optimize(self):
+        # python -O strips asserts; the certificate check must still raise
+        code = "\n".join([
+            "import sys",
+            "import regma.optimize as opt",
+            "from regma.catalog import catalog",
+            "from regma.errors import VerificationError",
+            "opt.verify_systole = lambda g, res: False",
+            "try:",
+            "    opt.systole(catalog('k4'))",
+            "except VerificationError:",
+            "    sys.exit(0 if sys.flags.optimize else 3)",
+            "sys.exit(1)",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCogirth:

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regma.catalog import catalog
-from regma.errors import PreconditionError
+from regma.errors import InputError, PreconditionError
+from regma.graph import MultiGraph
 from regma.matroid import circuits, graphic, r10
 from regma.serialize import (format_matroid, load_graph, parse_matroid,
                              parse_matroid_expr)
@@ -53,3 +55,19 @@ class TestExpressions:
         assert g.m == 3
         with pytest.raises(PreconditionError):
             load_graph("builtin:nonesuch")
+
+
+# Small numbers only, so that no draw asks for a huge matrix.
+format_text = st.lists(st.sampled_from(
+    ["0", "1", "2", "3", "12", "-1", "x", "1/2", "LIFT", "\n", " "]),
+    max_size=30).map("".join)
+
+
+@given(format_text)
+@settings(max_examples=200, deadline=None)
+def test_parsers_raise_only_input_error(text):
+    for parse in (MultiGraph.parse, parse_matroid):
+        try:
+            parse(text)
+        except InputError:
+            pass
