@@ -106,22 +106,31 @@ def _cmd_systole(args) -> int:
     return 0
 
 
+def _cogirth_certificate(text: str, n: int) -> CogirthResult:
+    data = json.loads(text)
+    # Without "dual" the certificate is one-sided and fails verification.
+    return CogirthResult(
+        _rat(data["value"]),
+        _rats(data["weights"], n),
+        int(data["witness"], 2),
+        tuple((int(v, 2), _rat(y)) for v, y in data.get("dual", [])),
+    )
+
+
 def _cmd_cogirth(args) -> int:
     m = parse_matroid_expr(args.matroid)
     if args.check:
-        def build(text: str) -> CogirthResult:
-            data = json.loads(text)
-            return CogirthResult(_rat(data["value"]), _rats(data["weights"], m.size),
-                                 int(data["witness"], 2))
-
-        ok = verify_cogirth(m, _load_certificate(args.check, build))
+        res = _load_certificate(args.check,
+                                lambda text: _cogirth_certificate(text, m.size))
+        ok = verify_cogirth(m, res)
         print(f"certificate {'ok' if ok else 'FAILED'}", file=sys.stderr)
         return 0 if ok else 1
     res = cogirth(m)
     print(f"c(M) = {format_rat(res.value)}", file=sys.stderr)
     _emit(args, {"value": format_rat(res.value),
                  "weights": [format_rat(x) for x in res.weights],
-                 "witness": format(res.witness, f"0{m.rank}b")})
+                 "witness": format(res.witness, f"0{m.rank}b"),
+                 "dual": [[format(v, f"0{m.rank}b"), format_rat(y)] for v, y in res.dual]})
     return 0
 
 

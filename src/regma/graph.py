@@ -148,6 +148,8 @@ class Cycle:
         ids = frozenset(int(e) for e in ids)
         if not ids:
             raise PreconditionError("a cycle is nonempty")
+        if not all(0 <= e < g.m for e in ids):
+            raise PreconditionError(f"cycle edge ids must lie below {g.m}")
         deg: dict[int, int] = {}
         for e in ids:
             u, v = g.edges[e]
@@ -213,7 +215,9 @@ def _bfs_dist(g: MultiGraph, src: int, avoid_edge: int = -1) -> list[int | None]
 
 
 def _bridges(g: MultiGraph, skip: frozenset[int] = frozenset()) -> list[int]:
-    """Bridges of g with the given edges removed, via iterative lowlink."""
+    """Bridges of g with the given edges removed, via iterative lowlink.
+    Loops are ignored; only the tree edge itself is skipped by id, so a
+    parallel copy of it is a back edge and keeps it from being a bridge."""
     visited = [False] * g.n
     disc = [0] * g.n
     low = [0] * g.n
@@ -247,20 +251,7 @@ def _bridges(g: MultiGraph, skip: frozenset[int] = frozenset()) -> list[int]:
                     low[px] = min(low[px], low[x])
                     if low[x] > disc[px]:
                         out.append(via)
-    # An edge with a live parallel copy is never a bridge; the 'e == via'
-    # test above only skips one copy, so filter explicitly as a backstop.
-    real = []
-    multiplicity: dict[tuple[int, int], int] = {}
-    for e, (u, v) in enumerate(g.edges):
-        if e in skip:
-            continue
-        key = (min(u, v), max(u, v))
-        multiplicity[key] = multiplicity.get(key, 0) + 1
-    for e in out:
-        u, v = g.edges[e]
-        if multiplicity[(min(u, v), max(u, v))] == 1:
-            real.append(e)
-    return sorted(real)
+    return sorted(out)
 
 
 def edge_cut_below(g: MultiGraph, k: int) -> tuple[int, ...] | None:
@@ -279,7 +270,6 @@ def edge_cut_below(g: MultiGraph, k: int) -> tuple[int, ...] | None:
         if g.is_loop(e):
             continue
         br = _bridges(g, skip=frozenset([e]))
-        br = [f for f in br if not g.is_loop(f)]
         if br:
             return (e, br[0]) if e < br[0] else (br[0], e)
     if k <= 3:

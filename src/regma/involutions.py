@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import PreconditionError, check_guard
+from .errors import DisconnectedGraphError, GuardExceeded, PreconditionError, check_guard
 from .exact import Rat, f2_solve_left
 from .graph import Cycle, MultiGraph, betti
 from .matroid import BinaryMatroid
@@ -304,7 +304,7 @@ def cographic_cycle_cover(g: MultiGraph, b: int) -> list[Cycle]:
 def _try_embedding(g: MultiGraph, chi: int, orientable: bool):
     try:
         return embeds_in(g, chi, orientable)
-    except Exception:
+    except (GuardExceeded, DisconnectedGraphError):
         return None
 
 

@@ -3,10 +3,12 @@ systoles, matroid cogirths, weighted-representation minima, and the
 recursive bound calculators.
 
 The LP solver is a dense two-phase tableau simplex over Fraction with
-Bland's rule; systole and cogirth are solved by cutting planes, with the
-minimum-weight-cycle search (resp. enumeration of the nonzero F2 dual
-vectors) as separation oracle. All optima come with independently checkable
-primal and dual certificates.
+Bland's rule. Systole and cogirth both maximise, over the simplex, the
+minimum of 0/1 linear forms: solve_maxmin solves them by cutting planes,
+with the minimum-weight-cycle search (resp. enumeration of the nonzero F2
+dual vectors) as separation oracle, and verify_maxmin checks both sides of
+every optimum: primal weights reaching the value, and a dual distribution
+over forms whose largest load is the value.
 """
 
 from __future__ import annotations
@@ -196,6 +198,69 @@ def lp_max(objective: Sequence[Rat],
     return LPSolution("optimal", tuple(x), dual_eq, dual_ub, value)
 
 
+def _load(row: frozenset[int], w: Sequence[Rat]) -> Rat:
+    return sum((w[i] for i in row), ZERO)
+
+
+def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
+    """max over distributions lam on n items of min lam(S) over the rows S
+    (index sets) of an implicit family, by cutting planes: separate(lam)
+    returns the family's minimum and candidate rows, and those lam violates
+    join the LP. Returns lam, the value, the active rows in the order they
+    joined, and the LP duals as a distribution over rows."""
+    rows = list(seeds)
+    while True:
+        sol = _maxmin_lp(n, rows)
+        lam, t = sol.primal[:n], sol.value
+        got, new = separate(lam)
+        if got == t:
+            break
+        rows.extend(s for s in new if _load(s, lam) < t)
+    dual = [(s, y) for s, y in zip(rows, sol.dual_ub) if y]
+    total = sum((y for _, y in dual), ZERO)
+    if total <= 0:
+        raise VerificationError("LP dual has no positive mass")
+    dual.sort(key=lambda p: sorted(p[0]))
+    return tuple(lam), t, rows, [(s, y / total) for s, y in dual]
+
+
+def _maxmin_lp(n: int, rows: Sequence[frozenset[int]]) -> LPSolution:
+    # Variables: lam_0..lam_{n-1}, t. Maximize t subject to sum lam = 1 and
+    # t - lam(S) <= 0 for every row S.
+    ub = [([-ONE if i in s else ZERO for i in range(n)] + [ONE], ZERO) for s in rows]
+    sol = lp_max([ZERO] * n + [ONE], [([ONE] * n + [ZERO], ONE)], ub)
+    if sol.status != "optimal":
+        raise VerificationError(f"cutting-plane LP ended {sol.status}")
+    return sol
+
+
+def verify_maxmin(n: int, weights: Sequence[Rat], value: Rat, minimum, support,
+                  tight, dual) -> bool:
+    """Both sides of a max-min certificate: the weights are a distribution
+    on n items whose oracle minimum and tight rows weigh value, and dual is
+    a distribution over rows whose largest load on an item is value.
+    support(row) is the row's index set, or None for an invalid row."""
+    w = tuple(weights)
+    if len(w) != n or any(x < 0 for x in w) or sum(w, ZERO) != 1:
+        return False
+    if minimum(w) != value:
+        return False
+    for row in tight:
+        s = support(row)
+        if s is None or _load(s, w) != value:
+            return False
+    total = ZERO
+    load = [ZERO] * n
+    for row, y in dual:
+        s = support(row)
+        if s is None or y < 0:
+            return False
+        total += y
+        for i in s:
+            load[i] += y
+    return total == 1 and max(load) == value
+
+
 @dataclass(frozen=True)
 class SystoleResult:
     """Exact systole with optimal weights and both certificates: the weights
@@ -208,21 +273,16 @@ class SystoleResult:
     dual_dist: tuple[tuple[Cycle, Rat], ...]
 
 
-def _seed_cycles(g: MultiGraph) -> list[Cycle]:
-    uniform = [ONE] * g.m
-    seeds = {}
-    c, _ = min_weight_cycle(g, uniform)
-    seeds[c.edge_ids] = c
+def _seed_cycles(g: MultiGraph) -> list[frozenset[int]]:
+    """Minimum cycles at uniform weights, and through each edge weighing 0."""
+    seeds = {min_weight_cycle(g, [ONE] * g.m)[0].edge_ids}
     for e in range(g.m):
         w = [ONE] * g.m
         w[e] = ZERO
-        try:
-            c, v = min_weight_cycle(g, w)
-        except AcyclicGraphError:  # pragma: no cover - guarded by caller
-            continue
-        if e in c.edge_ids:
-            seeds.setdefault(c.edge_ids, c)
-    return list(seeds.values())
+        ids = min_weight_cycle(g, w)[0].edge_ids
+        if e in ids:
+            seeds.add(ids)
+    return sorted(seeds, key=sorted)
 
 
 def systole(g: MultiGraph) -> SystoleResult:
@@ -231,73 +291,30 @@ def systole(g: MultiGraph) -> SystoleResult:
     (all violated per-edge minimum cycles join the active set each round)."""
     if girth(g) == float("inf"):
         raise AcyclicGraphError("systole of a forest")
-    m = g.m
-    active: list[Cycle] = sorted(_seed_cycles(g), key=lambda c: c.sorted_ids())
-    while True:
-        sol = _systole_lp(m, active)
-        lam = sol.primal[:m]
-        t = sol.value
-        per_edge = min_cycles_per_edge(g, lam)
-        got = min(v for v, _ in per_edge.values())
-        if got == t:
-            break
-        known = {c.edge_ids for c in active}
-        for value, ids in sorted(set(per_edge.values())):
-            if value < t and frozenset(ids) not in known:
-                active.append(Cycle(frozenset(ids)))
-                known.add(frozenset(ids))
-    tight = tuple(c for c in active if c.weight(lam) == t)
-    dual = [(c, y) for c, y in zip(active, sol.dual_ub) if y]
-    res = SystoleResult(t, tuple(lam), tight, _normalize_dual(dual))
+
+    def separate(lam):
+        per_edge = sorted(set(min_cycles_per_edge(g, lam).values()))
+        return per_edge[0][0], [frozenset(ids) for _, ids in per_edge]
+
+    lam, t, rows, dual = solve_maxmin(g.m, _seed_cycles(g), separate)
+    res = SystoleResult(t, lam, tuple(Cycle(s) for s in rows if _load(s, lam) == t),
+                        tuple((Cycle(s), y) for s, y in dual))
     if not verify_systole(g, res):
         raise VerificationError("systole certificate failed verification")
     return res
 
 
-def _systole_lp(m: int, cycles: Sequence[Cycle]) -> LPSolution:
-    # Variables: lambda_0..lambda_{m-1}, t. Maximize t.
-    obj = [ZERO] * m + [ONE]
-    eq = [([ONE] * m + [ZERO], ONE)]
-    ub = []
-    for c in cycles:
-        row = [ZERO] * (m + 1)
-        for e in c.edge_ids:
-            row[e] = Fraction(-1)
-        row[m] = ONE
-        ub.append((row, ZERO))  # t - lambda(C) <= 0
-    sol = lp_max(obj, eq, ub)
-    if sol.status != "optimal":
-        raise VerificationError(f"cutting-plane LP ended {sol.status}")
-    return sol
-
-
-def _normalize_dual(pairs: list[tuple[Cycle, Rat]]) -> tuple[tuple[Cycle, Rat], ...]:
-    total = sum((y for _, y in pairs), ZERO)
-    if total <= 0:
-        raise VerificationError("LP dual has no positive mass")
-    return tuple((c, y / total) for c, y in sorted(pairs, key=lambda p: p[0].sorted_ids()))
-
-
 def verify_systole(g: MultiGraph, res: SystoleResult) -> bool:
     """Check both optimality directions from the certificates alone."""
-    w = check_weights(g, res.weights)
-    if sum(w, ZERO) != 1:
-        return False
-    _, got = min_weight_cycle(g, w)
-    if got != res.value:
-        return False
-    total = ZERO
-    load = [ZERO] * g.m
-    for c, y in res.dual_dist:
-        if y < 0:
-            return False
-        Cycle.from_edges(g, c.edge_ids)
-        total += y
-        for e in c.edge_ids:
-            load[e] += y
-    if total != 1 or max(load) != res.value:
-        return False
-    return all(c.weight(w) == res.value for c in res.tight_cycles)
+    def support(c: Cycle) -> frozenset[int] | None:
+        try:
+            return Cycle.from_edges(g, c.edge_ids).edge_ids
+        except PreconditionError:
+            return None
+
+    return verify_maxmin(g.m, res.weights, res.value,
+                         lambda w: min_weight_cycle(g, w)[1], support,
+                         res.tight_cycles, res.dual_dist)
 
 
 def systole_weighted(g: MultiGraph, w: Sequence[Rat]) -> tuple[Rat, Cycle]:
@@ -315,84 +332,63 @@ def systole_weighted(g: MultiGraph, w: Sequence[Rat]) -> tuple[Rat, Cycle]:
 @dataclass(frozen=True)
 class CogirthResult:
     """max over probability weights of the minimum of f_lambda over nonzero
-    F2 dual vectors; witness attains the minimum at the optimal weights."""
+    F2 dual vectors, with both certificates: witness attains the minimum at
+    the optimal weights, and dual is a distribution over dual vectors (as
+    bitmasks) whose maximum load on an element equals value."""
 
     value: Rat
     weights: tuple[Rat, ...]
     witness: int
+    dual: tuple[tuple[int, Rat], ...]
 
 
-def _f_value(v: int, cols: Sequence[int], lam: Sequence[Rat]) -> Rat:
-    out = ZERO
-    for i, c in enumerate(cols):
-        if bin(v & c).count("1") & 1:
-            out += lam[i]
-    return out
+def _dual_support(v: int, cols: Sequence[int]) -> frozenset[int]:
+    """The elements f_lambda(v) sums over: columns outside the kernel of v."""
+    return frozenset(i for i, c in enumerate(cols) if bin(v & c).count("1") & 1)
 
 
 def _min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tuple[Rat, int]:
-    best = None
-    best_v = None
-    for v in range(1, 1 << d):
-        val = _f_value(v, cols, lam)
-        if best is None or val < best:
-            best, best_v = val, v
-    return best, best_v
+    """(least f_lam(v) over nonzero dual vectors v, least v attaining it)"""
+    return min(((_load(_dual_support(v, cols), lam), v) for v in range(1, 1 << d)),
+               default=(None, None))
 
 
 def cogirth(m: BinaryMatroid) -> CogirthResult:
     """c(M) = max_lambda min over nonzero dual vectors v of
     f_lambda(v) = sum of lambda_i over columns not in ker v; the minimum over
-    dual vectors equals the minimum over matroid hyperplane complements."""
+    dual vectors equals the minimum over matroid hyperplane complements.
+    Cutting planes add the minimum dual vector each round."""
     d = m.rank
     check_guard((1 << d) - 1, (1 << 12) - 1, "cogirth dual-vector enumeration")
     if d == 0:
         raise PreconditionError("cogirth of a rank-0 matroid")
     cols = m.columns
-    n = m.size
-    active: list[int] = [1 << i for i in range(d)]
-    while True:
-        sol = _cogirth_lp(cols, active)
-        lam = sol.primal[:n]
-        t = sol.value
+    found = [1 << i for i in range(d)]
+
+    def separate(lam):
         got, v = _min_dual_vector(cols, lam, d)
-        if got == t:
-            break
-        active.append(v)
-    lam = tuple(lam)
-    value, witness = _min_dual_vector(cols, lam, d)
-    return CogirthResult(value, lam, witness)
+        found.append(v)
+        return got, [_dual_support(v, cols)]
+
+    lam, t, _, dual = solve_maxmin(m.size, [_dual_support(v, cols) for v in found],
+                                   separate)
+    mask = {_dual_support(v, cols): v for v in found}
+    res = CogirthResult(t, lam, found[-1], tuple(sorted((mask[s], y) for s, y in dual)))
+    if not verify_cogirth(m, res):
+        raise VerificationError("cogirth certificate failed verification")
+    return res
 
 
 def verify_cogirth(m: BinaryMatroid, res: CogirthResult) -> bool:
-    cols = m.columns
-    d = m.rank
-    if sum(res.weights, ZERO) != 1 or any(x < 0 for x in res.weights):
-        return False
-    if not 0 < res.witness < (1 << d):
-        return False
-    if _f_value(res.witness, cols, res.weights) != res.value:
-        return False
-    got, _ = _min_dual_vector(cols, res.weights, d)
-    return got == res.value
+    """Check both optimality directions; the witness is a tight row."""
+    cols, d = m.columns, m.rank
 
+    def support(v: int) -> frozenset[int] | None:
+        return _dual_support(v, cols) if type(v) is int and 0 < v < 1 << d else None
 
-def _cogirth_lp(cols: Sequence[int], active: Sequence[int]) -> LPSolution:
-    n = len(cols)
-    obj = [ZERO] * n + [ONE]
-    eq = [([ONE] * n + [ZERO], ONE)]
-    ub = []
-    for v in active:
-        row = [ZERO] * (n + 1)
-        for i, c in enumerate(cols):
-            if bin(v & c).count("1") & 1:
-                row[i] = Fraction(-1)
-        row[n] = ONE
-        ub.append((row, ZERO))
-    sol = lp_max(obj, eq, ub)
-    if sol.status != "optimal":
-        raise VerificationError(f"cutting-plane LP ended {sol.status}")
-    return sol
+    return verify_maxmin(m.size, res.weights, res.value,
+                         lambda w: _min_dual_vector(cols, w, d)[0], support,
+                         (res.witness,), res.dual)
 
 
 def c_of_rep(r: WeightedRep) -> tuple[Rat, int]:
@@ -442,8 +438,6 @@ def bound_decomposable(d: int, c_table: STable) -> Rat:
     best = None
     for d1 in range(1, d - 2):
         d2 = d - 2 - d1
-        if d2 < 1:
-            continue
         if d1 not in c_table or d2 not in c_table:
             raise PreconditionError(f"c({d1}) or c({d2}) missing from the table")
         val = 1 / c_table[d1] + 1 / c_table[d2]

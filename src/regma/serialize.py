@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 
 from .catalog import catalog
 from .errors import InputError, RegmaError
@@ -86,6 +87,7 @@ def parse_matroid(text: str) -> BinaryMatroid:
 
 
 _CALL = re.compile(r"^(\w+)\((.*)\)$")
+_MAX_NESTING = 100
 _ARITY = {"graphic": (1, 2), "cographic": (1, 1), "dual": (1, 1), "simplify": (1, 1),
           "sum1": (2, 2), "sum2": (2, 2), "sum3": (2, 2)}
 
@@ -93,6 +95,8 @@ _ARITY = {"graphic": (1, 2), "cographic": (1, 1), "dual": (1, 1), "simplify": (1
 def parse_matroid_expr(expr: str) -> BinaryMatroid:
     """Recursive-descent parser for the construction DSL."""
     expr = expr.strip()
+    if max(accumulate((c in "({") - (c in ")}") for c in expr), default=0) > _MAX_NESTING:
+        raise InputError(f"matroid expression nested deeper than {_MAX_NESTING}")
     if expr == "r10":
         return r10()
     if expr.startswith("file:"):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from regma.cli import main
 
 
@@ -46,6 +48,26 @@ class TestCogirth:
     def test_dsl(self):
         rc, out, _ = run_cli("cogirth", "cographic(builtin:f14)")
         assert rc == 0 and json.loads(out)["value"] == "3/10"
+
+    @pytest.mark.parametrize("expr", ["r10", "cographic(builtin:heawood)"])
+    def test_certificate_roundtrip(self, tmp_path, expr):
+        cert = tmp_path / "c.json"
+        rc, _, _ = run_cli("cogirth", expr, "--out", str(cert))
+        assert rc == 0 and json.loads(cert.read_text())["dual"]
+        rc, _, err = run_cli("cogirth", expr, "--check", str(cert))
+        assert rc == 0 and "certificate ok" in err
+
+    def test_forged_certificate_rejected(self, tmp_path):
+        # graphic(K4) has c = 1/2; weights (1/2, 1/10 x5) reach only 3/10
+        rc, out, _ = run_cli("cogirth", "graphic(builtin:k4)")
+        assert rc == 0
+        forged = {"value": "3/10", "weights": ["1/2"] + ["1/10"] * 5,
+                  "witness": "010", "dual": json.loads(out)["dual"]}
+        cert = tmp_path / "forged.json"
+        for payload in (forged, {k: v for k, v in forged.items() if k != "dual"}):
+            cert.write_text(json.dumps(payload))
+            rc, _, err = run_cli("cogirth", "graphic(builtin:k4)", "--check", str(cert))
+            assert rc == 1 and "certificate FAILED" in err
 
 
 class TestCRep:
@@ -140,6 +162,19 @@ class TestOthers:
         rc2, out2, _ = run_cli("systole", "builtin:k4")
         assert out1 == out2
 
+    def test_verify_tables_same_for_any_jobs(self):
+        reports = []
+        for jobs in ("1", "2"):
+            rc, out, _ = run_cli("verify-tables", "--max-b", "6", "--exhaustive",
+                                 "--jobs", jobs)
+            assert rc == 0
+            report = json.loads(out)
+            del report["command"]["jobs"]
+            for item in report["items"]:
+                del item["seconds"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
 
 class TestMalformedInput:
     """Malformed input gives one `error:` line and exit code 2."""
@@ -148,6 +183,11 @@ class TestMalformedInput:
         gfile = tmp_path / "g"
         gfile.write_text("2 1\n0 x\n")
         rc, _, err = run_cli("systole", str(gfile))
+        assert rc == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_deeply_nested_expression(self):
+        rc, _, err = run_cli("cogirth", "dual(" * 1200 + "r10" + ")" * 1200)
         assert rc == 2
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 

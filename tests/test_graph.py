@@ -7,7 +7,7 @@ from conftest import random_connected_multigraph
 from regma.catalog import catalog
 from regma.errors import (AcyclicGraphError, DisconnectedGraphError,
                           GuardExceeded, PreconditionError)
-from regma.graph import (Cycle, MultiGraph, betti, edge_cut_below,
+from regma.graph import (Cycle, MultiGraph, _bridges, betti, edge_cut_below,
                          enumerate_cycles, girth, is_three_edge_connected,
                          min_weight_cycle, reduce_to_cubic, split_vertex)
 
@@ -83,6 +83,36 @@ class TestEdgeCut:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             edge_cut_below(MultiGraph(2, ()), 3)
+
+
+def bridges_oracle(g, skip):
+    """Edges outside skip whose removal splits a component of g - skip,
+    counted by networkx."""
+    import networkx as nx
+
+    def components(removed):
+        h = nx.MultiGraph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges[e] for e in range(g.m) if e not in removed)
+        return nx.number_connected_components(h)
+
+    base = components(skip)
+    return [e for e in range(g.m) if e not in skip and components(skip | {e}) > base]
+
+
+class TestBridges:
+    def test_random_multigraphs_against_networkx(self, rng):
+        # dense enough in loops and parallel edges that parallel tree edges
+        # and bridges with a loop at an end both occur
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            g = MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n))
+                                    for _ in range(rng.randint(0, 12))))
+            skips = [frozenset(), *(frozenset({e}) for e in range(g.m))]
+            if g.m >= 2:
+                skips.append(frozenset(rng.sample(range(g.m), 2)))
+            for skip in skips:
+                assert _bridges(g, skip) == bridges_oracle(g, skip), (g, skip)
 
 
 class TestMinWeightCycle:

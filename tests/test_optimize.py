@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -9,12 +10,13 @@ import pytest
 from conftest import random_connected_multigraph
 from regma.catalog import catalog
 from regma.errors import AcyclicGraphError, PreconditionError
-from regma.graph import MultiGraph, betti, enumerate_cycles, girth
+from regma.graph import Cycle, MultiGraph, betti, enumerate_cycles, girth
 from regma.matroid import WeightedRep, cographic, graphic, r10
-from regma.optimize import (C_TABLE, S_TABLE, CogirthResult, bound_decomposable,
-                            bound_large_girth, bound_small_cycle, c_of_rep,
-                            cogirth, lp_max, systole, systole_weighted,
-                            verify_cogirth, verify_systole)
+from regma.optimize import (C_TABLE, S_TABLE, CogirthResult, SystoleResult,
+                            bound_decomposable, bound_large_girth,
+                            bound_small_cycle, c_of_rep, cogirth, lp_max,
+                            solve_maxmin, systole, systole_weighted,
+                            verify_cogirth, verify_maxmin, verify_systole)
 
 ONE = Fraction(1)
 
@@ -146,16 +148,21 @@ class TestSystole:
         assert verify_systole(g, res)
         assert sum(y for _, y in res.dual_dist) == 1
 
-    def test_failed_certificate_raises_under_optimize(self):
+    @pytest.mark.parametrize("solve,verify,arg", [
+        ("systole", "verify_systole", "catalog('k4')"),
+        ("cogirth", "verify_cogirth", "r10()"),
+    ], ids=["systole", "cogirth"])
+    def test_failed_certificate_raises_under_optimize(self, solve, verify, arg):
         # python -O strips asserts; the certificate check must still raise
         code = "\n".join([
             "import sys",
             "import regma.optimize as opt",
             "from regma.catalog import catalog",
             "from regma.errors import VerificationError",
-            "opt.verify_systole = lambda g, res: False",
+            "from regma.matroid import r10",
+            f"opt.{verify} = lambda x, res: False",
             "try:",
-            "    opt.systole(catalog('k4'))",
+            f"    opt.{solve}({arg})",
             "except VerificationError:",
             "    sys.exit(0 if sys.flags.optimize else 3)",
             "sys.exit(1)",
@@ -185,7 +192,101 @@ class TestCogirth:
 
     def test_bad_witness_rejected(self):
         res = cogirth(r10())
-        assert not verify_cogirth(r10(), CogirthResult(res.value, res.weights, 0b11111))
+        assert not verify_cogirth(r10(), CogirthResult(res.value, res.weights, 0b11111,
+                                                       res.dual))
+
+    def test_certificate_is_two_sided(self):
+        res = cogirth(r10())
+        assert sum(y for _, y in res.dual) == 1
+        assert not verify_cogirth(r10(), CogirthResult(res.value, res.weights,
+                                                       res.witness, ()))
+
+    def test_forged_k4_certificate_rejected(self):
+        # graphic(K4) has c = 1/2; these weights reach only 3/10, which the
+        # primal side alone cannot tell from optimal
+        m = graphic(catalog("k4"))
+        weights = (Fraction(1, 2),) + (Fraction(1, 10),) * 5
+        witness = next(v for v in range(1, 8)
+                       if sum(weights[i] for i, c in enumerate(m.columns)
+                              if bin(v & c).count("1") % 2) == Fraction(3, 10))
+        true_dual = cogirth(m).dual
+        uniform = tuple((v, Fraction(1, 7)) for v in range(1, 8))
+        for dual in (true_dual, uniform, ((witness, ONE),), ()):
+            forged = CogirthResult(Fraction(3, 10), weights, witness, dual)
+            assert verify_cogirth(m, forged) is False
+
+    @pytest.mark.parametrize("mask", [0, -1, 1 << 5, 1 << 9])
+    def test_invalid_dual_vector_rejected(self, mask):
+        res = cogirth(r10())
+        bad = ((mask, res.dual[0][1]),) + res.dual[1:]
+        assert verify_cogirth(r10(), CogirthResult(res.value, res.weights,
+                                                   res.witness, bad)) is False
+        assert verify_cogirth(r10(), CogirthResult(res.value, res.weights,
+                                                   mask, res.dual)) is False
+
+
+class TestVerifySystoleEdgeIds:
+    """Malformed cycles in a certificate make verify_systole return False."""
+
+    @pytest.fixture(scope="class")
+    def k4res(self):
+        return catalog("k4"), systole(catalog("k4"))
+
+    @pytest.mark.parametrize("ids", [{99}, {-1}, {0, 99}, {-1, 0, 1}])
+    def test_bad_ids_in_tight_cycles(self, k4res, ids):
+        g, res = k4res
+        bad = SystoleResult(res.value, res.weights, (Cycle(frozenset(ids)),),
+                            res.dual_dist)
+        assert verify_systole(g, bad) is False
+
+    @pytest.mark.parametrize("ids", [{99}, {-1}, {0, 99}, {-1, 0, 1}])
+    def test_bad_ids_in_dual(self, k4res, ids):
+        g, res = k4res
+        (c, y), *rest = res.dual_dist
+        bad = SystoleResult(res.value, res.weights, res.tight_cycles,
+                            ((Cycle(frozenset(ids)), y), *rest))
+        assert verify_systole(g, bad) is False
+
+    def test_tight_set_that_is_not_a_cycle(self, k4res):
+        # a 3-edge path weighs as much as a triangle but is no cycle
+        g, res = k4res
+        cycles = {c.edge_ids for c in enumerate_cycles(g)}
+        paths = [frozenset(s) for s in itertools.combinations(range(g.m), 3)
+                 if frozenset(s) not in cycles
+                 and sum(res.weights[e] for e in s) == res.value]
+        assert paths
+        for p in paths:
+            bad = SystoleResult(res.value, res.weights, (Cycle(p),), res.dual_dist)
+            assert verify_systole(g, bad) is False
+            bad = SystoleResult(res.value, res.weights, res.tight_cycles,
+                                res.dual_dist[:-1] + ((Cycle(p), res.dual_dist[-1][1]),))
+            assert verify_systole(g, bad) is False
+
+
+class TestMaxMin:
+    def test_engine_on_explicit_rows(self):
+        # rows {0,1}, {1,2}, {0,2}: the optimum 2/3 at uniform weights, with
+        # the uniform distribution over the three rows as dual
+        family = [frozenset(r) for r in ({0, 1}, {1, 2}, {0, 2})]
+
+        def separate(lam):
+            return min((sum(lam[i] for i in r), sorted(r)) for r in family)[0], family
+
+        lam, t, rows, dual = solve_maxmin(3, family[:1], separate)
+        assert t == Fraction(2, 3) and lam == (Fraction(1, 3),) * 3
+        assert sorted(map(sorted, rows)) == [[0, 1], [0, 2], [1, 2]]
+        assert sorted((sorted(s), y) for s, y in dual) == [
+            ([0, 1], Fraction(1, 3)), ([0, 2], Fraction(1, 3)), ([1, 2], Fraction(1, 3))]
+        ok = verify_maxmin(3, lam, t, lambda w: separate(w)[0], lambda s: s,
+                           rows, dual)
+        assert ok is True
+        # a lower value, a short dual or a tight row of the wrong weight fail
+        assert not verify_maxmin(3, lam, Fraction(1, 2), lambda w: separate(w)[0],
+                                 lambda s: s, rows, dual)
+        assert not verify_maxmin(3, lam, t, lambda w: separate(w)[0],
+                                 lambda s: s, rows, dual[:2])
+        assert not verify_maxmin(3, lam, t, lambda w: separate(w)[0],
+                                 lambda s: s, [frozenset({0})], dual)
 
 
 class TestCOfRep:
