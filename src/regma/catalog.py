@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .graph import Cycle, MultiGraph, betti, girth
 
 
@@ -116,11 +116,16 @@ def _moebius_kantor() -> MultiGraph:
 
 def _check(g: MultiGraph, n: int, m: int, want_girth, want_betti: int,
            cubic: bool = True) -> MultiGraph:
-    assert g.n == n and g.m == m, "catalog edge list has wrong size"
-    assert not cubic or all(g.degree(v) == 3 for v in range(g.n))
-    assert girth(g) == want_girth, f"girth {girth(g)} != {want_girth}"
-    assert betti(g) == want_betti
-    assert g.is_connected()
+    if g.n != n or g.m != m:
+        raise VerificationError("catalog edge list has wrong size")
+    if cubic and any(g.degree(v) != 3 for v in range(g.n)):
+        raise VerificationError("catalog graph is not cubic")
+    if girth(g) != want_girth:
+        raise VerificationError(f"girth {girth(g)} != {want_girth}")
+    if betti(g) != want_betti:
+        raise VerificationError(f"Betti number {betti(g)} != {want_betti}")
+    if not g.is_connected():
+        raise VerificationError("catalog graph is disconnected")
     return g
 
 

@@ -73,7 +73,8 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows([list(self.col(j)) for j in range(self.cols)])
+        return IntMatrix(self.cols, self.rows,
+                         tuple(e for j in range(self.cols) for e in self.col(j)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import (AcyclicGraphError, DisconnectedGraphError, InputError,
-                     PreconditionError, check_guard)
+                     PreconditionError, VerificationError, check_guard)
 
 INFINITY = float("inf")
 
@@ -488,7 +488,8 @@ def reduce_to_cubic(g: MultiGraph) -> tuple[MultiGraph, tuple[ReductionStep, ...
             trace.append(ReductionStep("split_vertex", (high,), cur))
             continue
         break
-    assert all(cur.degree(v) == 3 for v in range(cur.n))
-    assert betti(cur) == betti(g)
-    assert is_three_edge_connected(cur)
+    if not (all(cur.degree(v) == 3 for v in range(cur.n))
+            and betti(cur) == betti(g) and is_three_edge_connected(cur)):
+        raise VerificationError("reduction did not reach a 3-edge-connected "
+                                "cubic graph of the same Betti number")
     return cur, tuple(trace)

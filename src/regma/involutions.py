@@ -115,8 +115,6 @@ def _provenance_functionals(m: BinaryMatroid) -> list[int] | None:
         return _sum_functionals(m, k=2)
     if kind == "sum3":
         return _sum_functionals(m, k=3)
-    if kind == "simplify":
-        return None
     return None
 
 

@@ -208,22 +208,9 @@ def dual(m: BinaryMatroid) -> BinaryMatroid:
         if rank_f2(rep) != n - d:
             raise RankDeficientError("kernel lattice reduced rank mod 2")
         return BinaryMatroid(m.labels, rep, lift, ("dual", m.provenance))
-    # F2-only: kernel of rep via RREF bookkeeping.
-    rref = m.rep.rref()
-    pivots = []
-    for w in rref.bits:
-        pivots.append((w & -w).bit_length() - 1)
-    free = [j for j in range(n) if j not in pivots]
-    rows = []
-    for j in free:
-        row = [0] * n
-        row[j] = 1
-        for r, p in enumerate(pivots):
-            if (rref.bits[r] >> j) & 1:
-                row[p] = 1
-        rows.append(row)
-    rep = BitMatrix.from_rows(rows) if rows else BitMatrix(0, n, ())
-    return BinaryMatroid(m.labels, rep, None, ("dual", m.provenance))
+    kernel = _kernel_basis_masks(m.rep)
+    return BinaryMatroid(m.labels, BitMatrix(len(kernel), n, tuple(kernel)), None,
+                         ("dual", m.provenance))
 
 
 def circuits(m: BinaryMatroid) -> list[tuple[int, ...]]:

@@ -20,8 +20,8 @@ from typing import Sequence
 from .errors import (AcyclicGraphError, PreconditionError, VerificationError,
                      check_guard)
 from .exact import Rat
-from .graph import (Cycle, EdgeWeights, MultiGraph, check_weights, girth,
-                    min_cycles_per_edge, min_weight_cycle)
+from .graph import (Cycle, EdgeWeights, MultiGraph, betti, check_weights,
+                    girth, min_cycles_per_edge, min_weight_cycle)
 from .matroid import BinaryMatroid, WeightedRep
 
 ZERO = Fraction(0)
@@ -305,7 +305,11 @@ def systole(g: MultiGraph) -> SystoleResult:
 
 
 def verify_systole(g: MultiGraph, res: SystoleResult) -> bool:
-    """Check both optimality directions from the certificates alone."""
+    """Check both optimality directions from the certificates alone. A
+    graph without cycles has no systole, so every certificate fails."""
+    if betti(g) == 0:
+        return False
+
     def support(c: Cycle) -> frozenset[int] | None:
         try:
             return Cycle.from_edges(g, c.edge_ids).edge_ids

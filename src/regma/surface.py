@@ -15,7 +15,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import DisconnectedGraphError, PreconditionError, check_guard
+from .errors import (DisconnectedGraphError, PreconditionError,
+                     VerificationError, check_guard)
 from .graph import Cycle, MultiGraph, betti
 
 
@@ -120,7 +121,8 @@ def trace_faces(g: MultiGraph, rot: RotationSystem) -> list[tuple[int, ...]]:
             nside = side ^ (signs[d >> 1] < 0)
             s = ((nxt[t] if nside == 0 else prv[t]) << 1) | nside
         orbits.append(walk)
-    assert len(orbits) % 2 == 0, "face orbits must pair into walk reversals"
+    if len(orbits) % 2:
+        raise VerificationError("face orbits must pair into walk reversals")
     # Pair each orbit with its reversal (twin darts in reverse order).
     keyed: dict[tuple[int, ...], list[int]] = {}
     for i, walk in enumerate(orbits):

@@ -3,9 +3,9 @@ from itertools import combinations
 
 import pytest
 
-from regma.catalog import NAMED_CYCLE_MODES, catalog, named_cycle
+from regma.catalog import NAMED_CYCLE_MODES, _check, catalog, named_cycle
 from regma.cubicgen import automorphisms, canonical_form
-from regma.errors import PreconditionError
+from regma.errors import PreconditionError, VerificationError
 from regma.graph import betti, enumerate_cycles, girth, is_three_edge_connected
 from regma.surface import embeds_in, embeds_with_face
 
@@ -25,6 +25,11 @@ class TestBasicEntries:
                      "g1", "f11", "f12", "f13", "f14", "moebius_kantor",
                      "k4", "k7", "moebius_ladder5"):
             catalog(name)
+
+    def test_wrong_facts_raise(self, k4):
+        # an explicit error, which python -O does not strip like an assert
+        with pytest.raises(VerificationError):
+            _check(k4, 4, 6, 4, 3)
 
     def test_unknown(self):
         with pytest.raises(PreconditionError):

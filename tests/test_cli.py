@@ -39,6 +39,15 @@ class TestSystole:
         rc, out, _ = run_cli("systole", str(gfile))
         assert rc == 0 and json.loads(out)["value"] == "2/3"
 
+    def test_check_on_forest_fails(self, tmp_path):
+        gfile = tmp_path / "g"
+        gfile.write_text("2 1\n0 1\n")
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"value": "1", "weights": ["1"],
+                                    "tight_cycles": [], "dual": []}))
+        rc, _, err = run_cli("systole", str(gfile), "--check", str(cert))
+        assert rc == 1 and "certificate FAILED" in err
+
 
 class TestCogirth:
     def test_r10(self):
@@ -139,6 +148,10 @@ class TestOthers:
         assert text.startswith("3 6") and "LIFT" in text
         rc, out, _ = run_cli("cogirth", f"file:{mfile}")
         assert rc == 0 and json.loads(out)["value"] == "1/2"
+
+    def test_matroid_build_free_dual(self):
+        rc, out, _ = run_cli("matroid-build", "dual(graphic(builtin:k2))")
+        assert rc == 0 and out.startswith("0 1")
 
     def test_verify_tables(self):
         rc, out, err = run_cli("verify-tables", "--max-b", "3")

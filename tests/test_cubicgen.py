@@ -15,6 +15,27 @@ from regma.graph import MultiGraph, betti, girth, is_three_edge_connected
 KNOWN_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
 
 
+def has_loop_or_parallel(g):
+    return (any(u == v for u, v in g.edges)
+            or len({tuple(sorted(e)) for e in g.edges}) < g.m)
+
+
+def h_grown_multigraphs(max_n):
+    """Cubic multigraphs on up to max_n vertices grown from theta and the
+    dumbbell by H-insertions, one per oracle canonical form."""
+    level = [MultiGraph(2, ((0, 1), (0, 1), (0, 1))),
+             MultiGraph(2, ((0, 0), (0, 1), (1, 1)))]
+    out = list(level)
+    for _ in range(4, max_n + 1, 2):
+        seen = {}
+        for parent in level:
+            for child in cubicgen._h_insertions(parent):
+                seen.setdefault(oracle_canonical.canonical_form(child), child)
+        level = list(seen.values())
+        out += level
+    return out
+
+
 class TestCanonicalForm:
     def test_relabel_invariance(self, petersen, rng):
         base = canonical_form(petersen)
@@ -60,15 +81,22 @@ class TestOracleCanonical:
 
         monkeypatch.setattr(cubicgen, "canonical_form", record)
         cubicgen._connected_cubic.cache_clear()
-        cubicgen._cubic_multigraphs.cache_clear()
         for n in range(4, 11, 2):
             list(generate_cubic(n))
-        # the multigraph skeletons (loops and parallel edges) that seed the
-        # diamond chains first get canonised at n = 12; build them directly
-        cubicgen._cubic_multigraphs(8)
-        assert any(u == v for g in seen for u, v in g.edges)
-        assert any(len(set(g.edges)) < g.m for g in seen)
         for g in seen:
+            assert canonical_form(g) == oracle_canonical.canonical_form(g)
+
+    def test_multigraphs(self, rng):
+        # generation canonises only simple graphs; loops and parallel edges
+        # come from H-grown cubic multigraphs and random multigraphs
+        graphs = [g for g in h_grown_multigraphs(8) if has_loop_or_parallel(g)]
+        while len(graphs) < 800:
+            g = random_connected_multigraph(rng)
+            if has_loop_or_parallel(g):
+                graphs.append(g)
+        assert any(u == v for g in graphs for u, v in g.edges)
+        assert any(len(set(g.edges)) < g.m for g in graphs)
+        for g in graphs:
             assert canonical_form(g) == oracle_canonical.canonical_form(g)
 
     @pytest.mark.parametrize("name", ["petersen", "f14", "heawood", "moebius_kantor"])
@@ -139,7 +167,8 @@ class TestPairModelOracle:
         keys = {canonical_form(MultiGraph(n, e)) for e in labeled}
         assert keys == {canonical_form(g) for g in generate_cubic(n)}
 
-    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12,
+                                   pytest.param(14, marks=pytest.mark.slow)])
     def test_orbit_count_identity(self, n):
         # sum over isomorphism classes of n!/|Aut| equals the labeled count,
         # proving the emitted set covers the pair model exactly

@@ -162,6 +162,13 @@ class TestKernelLattice:
     def test_full_rank_empty(self):
         assert kernel_lattice_basis(IntMatrix.identity(2)).cols == 0
 
+    @pytest.mark.parametrize("rows,cols", [(3, 0), (0, 3), (2, 3)])
+    def test_transpose_keeps_shape(self, rows, cols):
+        m = IntMatrix(rows, cols, tuple(range(rows * cols)))
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t.transpose() == m
+
     @given(int_matrix(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_spans_integer_kernel(self, m):

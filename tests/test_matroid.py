@@ -148,6 +148,21 @@ class TestDual:
         assert m.lift is not None
         assert rank_f2(m.lift.mod2()) == m.rank
 
+    def test_without_lift_same_matroid(self, k33):
+        m = cographic(k33)
+        lifted, bare = dual(m), dual(BinaryMatroid(m.labels, m.rep, None, ("test",)))
+        assert bare.lift is None and bare.rank == lifted.rank
+        for s in combinations(range(m.size), lifted.rank):
+            assert bare.is_independent(s) == lifted.is_independent(s)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_free_matroid(self, n):
+        # every edge of a path is a coloop, so graphic(path) is free
+        free = graphic(MultiGraph(n + 1, tuple((i, i + 1) for i in range(n))))
+        d = dual(free)
+        assert (free.rank, d.rank, d.size) == (n, 0, n)
+        assert dual(d).rank == n
+
     def test_hyperplanes(self, k4):
         m = graphic(k4)
         hs = hyperplanes(m)

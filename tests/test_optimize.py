@@ -120,6 +120,11 @@ class TestSystole:
         with pytest.raises(AcyclicGraphError):
             systole(MultiGraph(3, ((0, 1), (1, 2))))
 
+    def test_forest_certificate_fails(self):
+        # a forest has no systole, so no certificate for it verifies
+        res = SystoleResult(ONE, (ONE,), (), ())
+        assert verify_systole(MultiGraph(2, ((0, 1),)), res) is False
+
     def test_weighted(self, petersen, heawood):
         v, _ = systole_weighted(petersen, [ONE] * 15)
         assert v == Fraction(1, 3)
