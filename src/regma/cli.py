@@ -44,7 +44,8 @@ def _load_certificate(path: str, build):
         text = fh.read()
     try:
         return build(text)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError,
+            RecursionError) as exc:
         raise InputError(f"malformed certificate {path}: {exc!r}") from None
 
 

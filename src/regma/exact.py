@@ -200,36 +200,6 @@ def f2_rank_words(words: list[int]) -> int:
     return rank
 
 
-def f2_solve_left(a: BitMatrix, target: int) -> int | None:
-    """Solve x·A = target over F2 for a row functional x (as a bitmask over
-    A's rows); target is a bitmask over A's columns. Returns None when
-    inconsistent."""
-    # Row-reduce A while tracking the combination of original rows.
-    work = list(a.bits)
-    combo = [1 << i for i in range(a.rows)]
-    pivots: list[tuple[int, int]] = []  # (column, row-slot)
-    r = 0
-    for j in range(a.cols):
-        pos = next((k for k in range(r, len(work)) if (work[k] >> j) & 1), None)
-        if pos is None:
-            continue
-        work[r], work[pos] = work[pos], work[r]
-        combo[r], combo[pos] = combo[pos], combo[r]
-        for k in range(len(work)):
-            if k != r and (work[k] >> j) & 1:
-                work[k] ^= work[r]
-                combo[k] ^= combo[r]
-        pivots.append((j, r))
-        r += 1
-    x = 0
-    t = target
-    for j, slot in pivots:
-        if (t >> j) & 1:
-            t ^= work[slot]
-            x ^= combo[slot]
-    return x if t == 0 else None
-
-
 def det(m: IntMatrix):
     """Exact determinant by fraction-free Bareiss elimination."""
     if m.rows != m.cols:

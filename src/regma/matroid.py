@@ -7,7 +7,7 @@ A BinaryMatroid stores its F2 representation as constructed (the canonical
 reduced row echelon form is cached for comparisons); when an integer lift is
 present it reduces to the same row space mod 2, so independence can be read
 off either side. Construction provenance is carried along so downstream
-consumers (the six-involutions search) can use the structured builds.
+consumers can use the structured builds.
 """
 
 from __future__ import annotations

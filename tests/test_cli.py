@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regma.cli import main
+from regma.errors import RegmaError
+from regma.serialize import parse_matroid_expr
 
 
 def run_cli(*args):
@@ -135,6 +138,28 @@ class TestOthers:
         assert data["kernel_count_min"] >= 4
         assert len(set(data["vectors"])) == 6
 
+    def test_involutions_certificate_roundtrip(self, tmp_path):
+        cert = tmp_path / "c.json"
+        for expr in ("cographic(builtin:petersen)", "graphic(builtin:k4)", "r10"):
+            rc, _, _ = run_cli("involutions6", expr, "--out", str(cert))
+            assert rc == 0
+            rc, _, err = run_cli("involutions6", expr, "--check", str(cert))
+            assert rc == 0 and "certificate ok" in err
+
+    @pytest.mark.parametrize("vectors, counts", [
+        # three elements lie in only three kernels, whatever counts claim
+        (["000001", "001110", "010000", "010101", "100000", "100011"], [4] * 15),
+        (["000001", "001110", "010000", "010101", "100000", "100011"], [4]),
+        # functionals outside F2^6 vanish on every column
+        ([format(1 << k, "b") for k in range(6, 12)], [6] * 15),
+    ])
+    def test_forged_involutions_rejected(self, tmp_path, vectors, counts):
+        cert = tmp_path / "forged.json"
+        cert.write_text(json.dumps({"vectors": vectors, "counts": counts}))
+        rc, _, err = run_cli("involutions6", "cographic(builtin:petersen)",
+                             "--check", str(cert))
+        assert rc == 1 and "certificate FAILED" in err
+
     def test_reduce(self):
         rc, out, _ = run_cli("reduce", "builtin:g1")
         assert rc == 0
@@ -204,6 +229,14 @@ class TestMalformedInput:
         assert rc == 2
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_deeply_nested_certificate(self, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[" * 100_000)
+        rc, _, err = run_cli("involutions6", "cographic(builtin:k4)",
+                             "--check", str(cert))
+        assert rc == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_certificate_without_weights(self, tmp_path):
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps({"value": "1/3"}))
@@ -217,3 +250,60 @@ class TestInProcessMain:
         assert main(["systole", "builtin:theta"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["value"] == "2/3"
+
+
+# Certificate-shaped JSON: the fields the loaders read, holding values of
+# the right and the wrong kinds, nested at random.
+_FIELDS = ["value", "weights", "tight_cycles", "dual", "witness", "vectors",
+           "counts"]
+_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 70), st.floats(),
+    st.sampled_from(["0", "1", "1/3", "-1/2", "1/0", "x", "", "010",
+                     "000001", "111111", "1000000"]))
+_json = st.recursive(_leaf, lambda kids: st.one_of(
+    st.lists(kids, max_size=7),
+    st.dictionaries(st.sampled_from(_FIELDS), kids, max_size=7)),
+    max_leaves=25)
+_certificate_text = st.one_of(
+    _json.map(json.dumps),
+    _json.map(json.dumps).flatmap(
+        lambda t: st.integers(0, len(t)).map(lambda k: t[:k])),
+    st.text(max_size=40))
+
+
+@pytest.fixture(scope="module")
+def cert_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "cert.json"
+
+
+@pytest.mark.parametrize("command", [
+    ["systole", "builtin:k4"],
+    ["cogirth", "graphic(builtin:k4)"],
+    ["involutions6", "cographic(builtin:k4)"],
+])
+@given(text=_certificate_text)
+@settings(max_examples=100, deadline=None)
+def test_check_fuzz_fails_cleanly(cert_path, command, text):
+    cert_path.write_text(text, encoding="utf-8")
+    assert main([*command, "--check", str(cert_path)]) in (1, 2)
+
+
+_expression = st.one_of(
+    st.text(max_size=30),
+    st.lists(st.sampled_from(
+        ["graphic(", "cographic(", "dual(", "simplify(", "sum1(", "sum2(",
+         "sum3(", "r10", "builtin:k4", "builtin:theta", "builtin:nonesuch",
+         "(", ")", ",", "@", "e0", "e1", "{", "}", " ", "2", "-1"]),
+        max_size=14).map("".join))
+
+
+@given(expr=_expression)
+@settings(max_examples=200, deadline=None)
+def test_expression_fuzz_fails_cleanly(expr):
+    try:
+        parse_matroid_expr(expr)
+        parsed = True
+    except (RegmaError, OSError):
+        parsed = False
+    rc = main(["matroid-build", expr])
+    assert rc == 0 if parsed else rc in (1, 2)

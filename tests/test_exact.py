@@ -5,10 +5,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from regma.errors import DimensionError, RankDeficientError
-from regma.exact import (BitMatrix, IntMatrix, det, f2_solve_left, format_rat,
-                         hermite_row_form, kernel_lattice_basis,
-                         odd_determinant_check, parse_rat, rank_f2, rank_q,
-                         smith_normal_form)
+from regma.exact import (IntMatrix, det, format_rat, hermite_row_form,
+                         kernel_lattice_basis, odd_determinant_check,
+                         parse_rat, rank_f2, rank_q, smith_normal_form)
 from regma.matroid import R10_ROWS
 
 R10 = IntMatrix.from_rows([list(r) for r in R10_ROWS])
@@ -218,21 +217,3 @@ class TestRationals:
     @settings(max_examples=50, deadline=None)
     def test_parse_format(self, q):
         assert parse_rat(format_rat(q)) == q
-
-
-class TestF2Solve:
-    def test_solve_left(self):
-        a = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-        x = f2_solve_left(a, 0b110)
-        assert x is not None
-        # check x . a == target
-        rows = list(a.bits)
-        got = 0
-        for i in range(a.rows):
-            if (x >> i) & 1:
-                got ^= rows[i]
-        assert got == 0b110
-
-    def test_inconsistent(self):
-        a = BitMatrix.from_rows([[1, 1, 0]])
-        assert f2_solve_left(a, 0b100) is None

@@ -4,10 +4,15 @@ import pytest
 
 from regma.catalog import catalog
 from regma.errors import PreconditionError
-from regma.involutions import (InvolutionSet, _fallback_search,
-                               cographic_cycle_cover, six_involutions,
+from regma.cubicgen import generate_cubic
+from regma.involutions import (InvolutionSet, _pruned_search, six_involutions,
                                verify_involutions)
 from regma.matroid import BinaryMatroid, cographic, graphic, r10, sum1, sum2, sum3
+
+
+def counts_of(m, vs):
+    return tuple(sum(1 for v in vs if bin(v & c).count("1") % 2 == 0)
+                 for c in m.columns)
 
 
 def counts_ok(m, s):
@@ -110,6 +115,46 @@ class TestVerify:
         ok, ksum, bound = verify_involutions(m, mult, fake)
         assert not ok and ksum == 3 and bound == 2
 
+    # On cographic(petersen) three elements lie in only three kernels of
+    # these six vectors; the weighted sum alone hides it at uniform weights.
+    FORGED = tuple(int(v, 2) for v in
+                   ("000001", "001110", "010000", "010101", "100000", "100011"))
+
+    @pytest.mark.parametrize("counts", [(4,) * 15, (4,), None])
+    def test_forged_counts_fail(self, petersen, counts):
+        m = cographic(petersen)
+        assert sorted(counts_of(m, self.FORGED)).count(3) == 3
+        forged = InvolutionSet.__new__(InvolutionSet)
+        object.__setattr__(forged, "vs", self.FORGED)
+        object.__setattr__(forged, "counts", counts or counts_of(m, self.FORGED))
+        ok, ksum, bound = verify_involutions(m, [Fraction(1, m.size)] * m.size,
+                                             forged)
+        assert not ok and ksum <= bound
+
+    def test_misstated_counts_fail(self, petersen):
+        m = cographic(petersen)
+        s = six_involutions(m)
+        claimed = InvolutionSet(s.vs, tuple(c + 1 for c in s.counts))
+        ok, _, _ = verify_involutions(m, [Fraction(1, m.size)] * m.size, claimed)
+        assert not ok
+
+    def test_vectors_outside_f2_6_fail(self, petersen):
+        m = cographic(petersen)
+        vs = tuple(1 << k for k in range(6, 12))
+        forged = InvolutionSet(vs, counts_of(m, vs))
+        ok, ksum, _ = verify_involutions(m, [Fraction(1, m.size)] * m.size,
+                                         forged)
+        assert not ok and ksum == 0
+
+    def test_duplicate_vectors_fail(self):
+        # on rank 2, functionals on coordinates 2..5 vanish on every column
+        m = graphic(catalog("k3"))
+        fake = InvolutionSet.__new__(InvolutionSet)
+        object.__setattr__(fake, "vs", (4, 8, 16, 32, 4, 8))
+        object.__setattr__(fake, "counts", counts_of(m, fake.vs))
+        ok, _, _ = verify_involutions(m, [Fraction(1, m.size)] * m.size, fake)
+        assert not ok
+
     def test_random_multiplicities(self, rng, petersen):
         m = cographic(petersen)
         s = six_involutions(m)
@@ -122,21 +167,11 @@ class TestVerify:
 
 
 class TestFallback:
-    def test_agrees_with_constructive(self, petersen):
-        m = cographic(petersen)
-        constructive = six_involutions(m)
-        found = _fallback_search(m.columns, m.rank, 0)
-        assert found is not None
-        counts = [sum(1 for v in found if bin(v & c).count("1") % 2 == 0)
-                  for c in m.columns]
-        assert min(counts) >= 4
-        counts_ok(m, constructive)
-
     def test_infeasible_detected(self):
         # all 63 nonzero columns of F2^6: element v fails every functional
         # not orthogonal to it; no six functionals can give counts >= 4
         cols = list(range(1, 64))
-        found = _fallback_search(cols, 6, 0)
+        found = _pruned_search(cols)
         assert found is None
 
     def test_unknown_provenance_uses_fallback(self, petersen):
@@ -145,44 +180,12 @@ class TestFallback:
         counts_ok(anon, six_involutions(anon))
 
 
-class TestCycleCover:
-    def test_k4_planar_faces(self, k4):
-        cover = cographic_cycle_cover(k4, 3)
-        assert len(cover) == 3 and all(len(c) == 3 for c in cover)
-        use = [0] * k4.m
-        for c in cover:
-            for e in c.edge_ids:
-                use[e] += 1
-        assert max(use) <= 2
-
-    def test_k33_rp2_faces(self, k33):
-        cover = cographic_cycle_cover(k33, 4)
-        assert len(cover) == 4
-
-    def test_petersen_pentagons(self, petersen):
-        cover = cographic_cycle_cover(petersen, 6)
-        assert sorted(len(c) for c in cover) == [5] * 6
-
-    def test_properties(self, petersen):
-        cover = cographic_cycle_cover(petersen, 6)
-        ids = {c.edge_ids for c in cover}
-        assert len(ids) == 6 and frozenset() not in ids
-        use = [0] * petersen.m
-        for c in cover:
-            for e in c.edge_ids:
-                use[e] += 1
-        assert max(use) <= 2
-
-    def test_g1_special_case(self):
-        g1 = catalog("g1")
-        cover = cographic_cycle_cover(g1, 6)
-        assert len(cover) == 6
-        use = [0] * g1.m
-        for c in cover:
-            for e in c.edge_ids:
-                use[e] += 1
-        assert max(use) <= 2
-
-    def test_wrong_betti_rejected(self, k4):
-        with pytest.raises(PreconditionError):
-            cographic_cycle_cover(k4, 4)
+def test_cographic_cubic_up_to_ten_vertices():
+    # 27 matroids of rank n/2 + 1 <= 6, among them the cographic matroid of
+    # g1, which does not embed in the projective plane
+    ms = [cographic(g) for n in (4, 6, 8, 10) for g in generate_cubic(n)]
+    assert len(ms) == 27
+    for m in ms:
+        s = six_involutions(m)
+        ok, _, _ = verify_involutions(m, [Fraction(1, m.size)] * m.size, s)
+        assert ok
