@@ -2,19 +2,22 @@
 systoles, matroid cogirths, weighted-representation minima, and the
 recursive bound calculators.
 
-The LP solver is a dense two-phase tableau simplex over Fraction with
-Bland's rule. Systole and cogirth both maximise, over the simplex, the
-minimum of 0/1 linear forms: solve_maxmin solves them by cutting planes,
-with the minimum-weight-cycle search (resp. enumeration of the nonzero F2
-dual vectors) as separation oracle, and verify_maxmin checks both sides of
-every optimum: primal weights reaching the value, and a dual distribution
-over forms whose largest load is the value.
+The LP solver is a two-phase simplex with Bland's rule on a fraction-free
+integer tableau (Edmonds/Bareiss pivots over one common divisor). Systole
+and cogirth both maximise, over the simplex, the minimum of 0/1 linear
+forms: solve_maxmin solves them by cutting planes, with the
+minimum-weight-cycle search (resp. a Gray-code walk over the nonzero F2 dual
+vectors) as separation oracle, and verify_maxmin checks both sides of every
+optimum: primal weights reaching the value, and a dual distribution over
+forms whose largest load is the value. The cogirth checker enumerates the
+dual vectors plainly, sharing no oracle code with the solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import (AcyclicGraphError, PreconditionError, VerificationError,
@@ -40,124 +43,135 @@ class LPSolution:
     value: Rat = ZERO
 
 
+def _int_row(values: Sequence[Rat]) -> tuple[int, list[int]]:
+    """(L, L * values) for L the least common multiple of the denominators."""
+    vals = [x if type(x) is int else Fraction(x) for x in values]
+    scale = 1
+    for x in vals:
+        if type(x) is not int and scale % x.denominator:
+            scale = scale // gcd(scale, x.denominator) * x.denominator
+    return scale, [x * scale if type(x) is int else x.numerator * (scale // x.denominator)
+                   for x in vals]
+
+
 def lp_max(objective: Sequence[Rat],
            eq: Sequence[tuple[Sequence[Rat], Rat]] = (),
            ub: Sequence[tuple[Sequence[Rat], Rat]] = ()) -> LPSolution:
     """Maximize objective·x subject to eq rows (a·x = b), ub rows (a·x <= b),
-    and x >= 0, by two-phase simplex with Bland's anti-cycling rule."""
+    and x >= 0, by two-phase simplex with Bland's anti-cycling rule.
+
+    The tableau is fraction-free (Edmonds/Bareiss pivots, as in Avis's lrs):
+    an integer matrix M and a divisor d > 0 with true tableau M / d. Each row
+    is scaled to integers, its sign flipped for a negative right-hand side,
+    while slack and artificial columns stay unit columns; that only rescales
+    those variables by positive factors, so reduced-cost signs, ratio
+    orderings and hence every pivot are those of the rational tableau."""
     n = len(objective)
-    c = [Fraction(x) for x in objective]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     kinds: list[str] = []
-    for a, b in eq:
-        if len(a) != n:
-            raise PreconditionError("equality row length mismatch")
-        rows.append([Fraction(x) for x in a])
-        rhs.append(Fraction(b))
-        kinds.append("eq")
-    for a, b in ub:
-        if len(a) != n:
-            raise PreconditionError("inequality row length mismatch")
-        rows.append([Fraction(x) for x in a])
-        rhs.append(Fraction(b))
-        kinds.append("ub")
-    m = len(rows)
+    scales: list[int] = []  # signed: negative where the rhs was negated
+    tab: list[list[int]] = []
+    for kind, rows, what in (("eq", eq, "equality"), ("ub", ub, "inequality")):
+        for a, b in rows:
+            if len(a) != n:
+                raise PreconditionError(f"{what} row length mismatch")
+            scale, row = _int_row([*a, b])
+            if row[n] < 0:
+                scale, row = -scale, [-x for x in row]
+            kinds.append(kind)
+            scales.append(scale)
+            tab.append(row)
+    m = len(tab)
 
     # Columns: n structural, one slack per ub row, then one artificial per
     # row that needs one (eq rows, and ub rows whose rhs was negated; a
     # nonnegative ub row starts with its slack basic). The identity column
     # of each row (slack or artificial) also yields its dual value.
-    nslack = sum(1 for k in kinds if k == "ub")
-    art_rows = [i for i in range(m)
-                if kinds[i] == "eq" or rhs[i] < 0]
+    nslack = kinds.count("ub")
+    art_rows = [i for i in range(m) if kinds[i] == "eq" or scales[i] < 0]
     art0 = n + nslack
     width = art0 + len(art_rows)
-    tab = [[ZERO] * (width + 1) for _ in range(m)]
     basis = [-1] * m
     identity_col = [-1] * m
     si = 0
     ai = 0
     for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
-        for j in range(n):
-            tab[i][j] = sign * rows[i][j]
+        row = tab[i][:n] + [0] * (width - n) + [tab[i][n]]
         if kinds[i] == "ub":
-            tab[i][n + si] = Fraction(sign)
-            if sign > 0:
+            row[n + si] = 1 if scales[i] > 0 else -1
+            if scales[i] > 0:
                 basis[i] = n + si
                 identity_col[i] = n + si
             si += 1
-        if i in art_rows:
-            col = art0 + ai
-            tab[i][col] = ONE
-            basis[i] = col
-            identity_col[i] = col
+        if kinds[i] == "eq" or scales[i] < 0:
+            row[art0 + ai] = 1
+            basis[i] = art0 + ai
+            identity_col[i] = art0 + ai
             ai += 1
-        tab[i][width] = sign * rhs[i]
-    in_basis = set(basis)
+        tab[i] = row
+    # Row m is the objective row: d times the reduced costs of the phase's
+    # costs (in the rescaled variables, times a positive objective scale).
+    tab.append([0] * (width + 1))
+    d = 1
 
-    def pivot(row: int, col: int) -> None:
-        pr = tab[row]
-        inv = ONE / pr[col]
-        for j in range(width + 1):
-            if pr[j]:
-                pr[j] *= inv
-        for i in range(m):
-            if i != row and tab[i][col]:
-                f = tab[i][col]
-                ri = tab[i]
-                for j in range(width + 1):
-                    if pr[j]:
-                        ri[j] -= f * pr[j]
-        in_basis.discard(basis[row])
-        basis[row] = col
-        in_basis.add(col)
+    def pivot(r: int, col: int) -> None:
+        # Row r stays; every other row becomes (p·M_i − M_i,col·M_r) / d,
+        # an exact division (Bareiss). A negative pivot, possible only when
+        # an artificial is driven out, negates all rows to keep d > 0.
+        nonlocal d
+        pr = tab[r]
+        p = pr[col]
+        for i in range(m + 1):
+            if i == r:
+                continue
+            ri = tab[i]
+            f = ri[col]
+            if f:
+                tab[i] = [(p * x - f * y) // d for x, y in zip(ri, pr)]
+            elif p != d:
+                tab[i] = [p * x // d for x in ri]
+        if p < 0:
+            for i in range(m + 1):
+                tab[i] = [-x for x in tab[i]]
+            p = -p
+        d = p
+        basis[r] = col
 
-    class _Unbounded(Exception):
-        pass
-
-    def reduced_cost(costs: list[Fraction], j: int) -> Fraction:
-        z = ZERO
-        for i in range(m):
-            tij = tab[i][j]
-            if tij:
-                cb = costs[basis[i]]
-                if cb:
-                    z += cb * tij
-        return costs[j] - z
-
-    def run_phase(costs: list[Fraction], limit: int) -> None:
+    def run_phase(limit: int) -> bool:
+        """Pivot to optimality; False when the objective is unbounded."""
         while True:
             # Bland's rule: first improving column, smallest-index leaving
-            # basis variable on ratio ties.
-            enter = None
-            for j in range(limit):
-                if j in in_basis:
-                    continue
-                if reduced_cost(costs, j) > 0:
-                    enter = j
-                    break
+            # basis variable on ratio ties (ratios compared cross-multiplied).
+            obj = tab[m]
+            enter = next((j for j in range(limit) if obj[j] > 0), None)
             if enter is None:
-                return
-            leave = None
-            best: Fraction | None = None
+                return True
+            leave = -1
             for i in range(m):
-                if tab[i][enter] > 0:
-                    ratio = tab[i][width] / tab[i][enter]
-                    if best is None or ratio < best or (
-                            ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave is None:
-                raise _Unbounded()
+                a = tab[i][enter]
+                if a > 0:
+                    if leave < 0:
+                        leave, num, den = i, tab[i][width], a
+                        continue
+                    lhs, rhs = tab[i][width] * den, num * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, num, den = i, tab[i][width], a
+            if leave < 0:
+                return False
             pivot(leave, enter)
 
     if art_rows:
-        phase1 = [ZERO] * width
-        for j in range(art0, width):
-            phase1[j] = Fraction(-1)
-        run_phase(phase1, art0)
+        # Phase 1 maximizes minus the sum of the original artificials; the
+        # rescaled artificial of row i costs 1/|scale_i| each, times their lcm.
+        obj_scale = 1
+        for i in art_rows:
+            obj_scale = obj_scale // gcd(obj_scale, scales[i]) * abs(scales[i])
+        obj = tab[m]
+        for i in art_rows:
+            k = obj_scale // abs(scales[i])
+            obj[basis[i]] = -k
+            obj = [x + k * y for x, y in zip(obj, tab[i])]
+        tab[m] = obj
+        run_phase(art0)
         if any(tab[i][width] != 0 and basis[i] >= art0 for i in range(m)):
             return LPSolution("infeasible")
         for i in range(m):
@@ -166,36 +180,29 @@ def lp_max(objective: Sequence[Rat],
                 if col is not None:
                     pivot(i, col)
 
-    costs2 = [ZERO] * width
-    for j in range(n):
-        costs2[j] = c[j]
-    try:
-        run_phase(costs2, art0)
-    except _Unbounded:
+    obj_scale, c = _int_row(objective)
+    obj = [d * x for x in c] + [0] * (width + 1 - n)
+    for i in range(m):
+        cb = c[basis[i]] if basis[i] < n else 0
+        if cb:
+            obj = [x - cb * y for x, y in zip(obj, tab[i])]
+    tab[m] = obj
+    if not run_phase(art0):
         return LPSolution("unbounded")
 
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][width]
-    value = sum((c[j] * x[j] for j in range(n)), ZERO)
-    # Duals: z-value over each row's original identity column, corrected for
-    # the sign flip applied at setup (for slack columns z = -reduced cost).
-    duals = [ZERO] * m
-    for r in range(m):
-        col = identity_col[r]
-        z = ZERO
-        for i in range(m):
-            tic = tab[i][col]
-            if tic:
-                cb = costs2[basis[i]]
-                if cb:
-                    z += cb * tic
-        sign = -1 if rhs[r] < 0 else 1
-        duals[r] = sign * z
+            x[basis[i]] = Fraction(tab[i][width], d)
+    # The objective row's rhs is -d * obj_scale * value. The dual of row r
+    # is the z-value of its identity column (zero cost, so z = -reduced
+    # cost), undone for that column's rescaling and the sign flip at setup.
+    obj = tab[m]
+    den = d * obj_scale
+    duals = [Fraction(-scales[r] * obj[identity_col[r]], den) for r in range(m)]
     dual_eq = tuple(duals[i] for i in range(m) if kinds[i] == "eq")
     dual_ub = tuple(duals[i] for i in range(m) if kinds[i] == "ub")
-    return LPSolution("optimal", tuple(x), dual_eq, dual_ub, value)
+    return LPSolution("optimal", tuple(x), dual_eq, dual_ub, Fraction(-obj[width], den))
 
 
 def _load(row: frozenset[int], w: Sequence[Rat]) -> Rat:
@@ -227,8 +234,8 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
 def _maxmin_lp(n: int, rows: Sequence[frozenset[int]]) -> LPSolution:
     # Variables: lam_0..lam_{n-1}, t. Maximize t subject to sum lam = 1 and
     # t - lam(S) <= 0 for every row S.
-    ub = [([-ONE if i in s else ZERO for i in range(n)] + [ONE], ZERO) for s in rows]
-    sol = lp_max([ZERO] * n + [ONE], [([ONE] * n + [ZERO], ONE)], ub)
+    ub = [([-1 if i in s else 0 for i in range(n)] + [1], 0) for s in rows]
+    sol = lp_max([0] * n + [1], [([1] * n + [0], 1)], ub)
     if sol.status != "optimal":
         raise VerificationError(f"cutting-plane LP ended {sol.status}")
     return sol
@@ -352,9 +359,42 @@ def _dual_support(v: int, cols: Sequence[int]) -> frozenset[int]:
 
 
 def _min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tuple[Rat, int]:
-    """(least f_lam(v) over nonzero dual vectors v, least v attaining it)"""
+    """(least f_lam(v) over nonzero dual vectors v, least v attaining it),
+    by plain enumeration: verify_cogirth's oracle, which shares no code with
+    the solver's _gray_min_dual_vector."""
     return min(((_load(_dual_support(v, cols), lam), v) for v in range(1, 1 << d)),
                default=(None, None))
+
+
+def _gray_min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tuple[Rat, int]:
+    """_min_dual_vector for d >= 1 by a Gray-code walk: with lam scaled to
+    integers over one denominator D, flipping bit k of v changes f_lam(v)
+    only on the columns that have bit k, each joining or leaving the sum."""
+    den, weights = _int_row(lam)
+    merged: dict[int, int] = {}
+    for c, w in zip(cols, weights):
+        if c:
+            merged[c] = merged.get(c, 0) + w
+    # step[k] holds, for each column with bit k, what flipping k next adds
+    # to f: its weight while v·c is even, minus it while odd.
+    step = [[] for _ in range(d)]
+    for c, w in merged.items():
+        if w:
+            cell = [w]
+            for k in range(d):
+                if c >> k & 1:
+                    step[k].append(cell)
+    f = v = 0
+    best, best_v = None, 0
+    for g in range(1, 1 << d):
+        k = (g & -g).bit_length() - 1
+        v ^= 1 << k
+        for cell in step[k]:
+            f += cell[0]
+            cell[0] = -cell[0]
+        if best is None or f < best or (f == best and v < best_v):
+            best, best_v = f, v
+    return Fraction(best, den), best_v
 
 
 def cogirth(m: BinaryMatroid) -> CogirthResult:
@@ -370,7 +410,7 @@ def cogirth(m: BinaryMatroid) -> CogirthResult:
     found = [1 << i for i in range(d)]
 
     def separate(lam):
-        got, v = _min_dual_vector(cols, lam, d)
+        got, v = _gray_min_dual_vector(cols, lam, d)
         found.append(v)
         return got, [_dual_support(v, cols)]
 
@@ -401,8 +441,9 @@ def c_of_rep(r: WeightedRep) -> tuple[Rat, int]:
     matrix."""
     d = r.h.rows
     check_guard((1 << d) - 1, (1 << 12) - 1, "c_of_rep dual-vector enumeration")
-    cols = r.h.mod2().col_masks()
-    return _min_dual_vector(cols, r.mult, d)
+    if d == 0:
+        raise PreconditionError("c_of_rep of a rank-0 representation")
+    return _gray_min_dual_vector(r.h.mod2().col_masks(), r.mult, d)
 
 
 STable = dict[int, Rat]

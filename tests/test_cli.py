@@ -93,6 +93,14 @@ class TestCRep:
         rc, out, _ = run_cli("c-rep", "r10", "--mult", str(mfile))
         assert rc == 0 and json.loads(out)["value"] == "2/5"
 
+    def test_rank_zero_is_an_error_line(self):
+        # as cogirth on the same matroid: one error line and exit 1
+        for command in ("c-rep", "cogirth"):
+            rc, out, err = run_cli(command, "dual(graphic(builtin:k2))")
+            assert rc == 1 and out == ""
+            assert err.startswith("error:") and "rank-0" in err
+            assert len(err.splitlines()) == 1
+
 
 class TestEmbed:
     def test_f13_klein(self, tmp_path):

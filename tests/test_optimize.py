@@ -1,15 +1,19 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import oracle_lp
 from conftest import random_connected_multigraph
+from regma import optimize
 from regma.catalog import catalog
-from regma.errors import AcyclicGraphError, PreconditionError
+from regma.errors import AcyclicGraphError, PreconditionError, VerificationError
 from regma.graph import Cycle, MultiGraph, betti, enumerate_cycles, girth
 from regma.matroid import WeightedRep, cographic, graphic, r10
 from regma.optimize import (C_TABLE, S_TABLE, CogirthResult, SystoleResult,
@@ -17,6 +21,7 @@ from regma.optimize import (C_TABLE, S_TABLE, CogirthResult, SystoleResult,
                             bound_small_cycle, c_of_rep, cogirth, lp_max,
                             solve_maxmin, systole, systole_weighted,
                             verify_cogirth, verify_maxmin, verify_systole)
+from regma.serialize import parse_matroid_expr
 
 ONE = Fraction(1)
 
@@ -34,9 +39,47 @@ def brute_force_systole(g):
             row[e] = Fraction(-1)
         row[m] = ONE
         ub.append((row, Fraction(0)))
-    sol = lp_max(obj, eq, ub)
+    sol = oracle_lp.lp_max(obj, eq, ub)
     assert sol.status == "optimal"
     return sol.value
+
+
+def random_lp(rng):
+    """A small LP with fractional coefficients and right-hand sides of both
+    signs. Most are feasible by construction at a random point x0 >= 0;
+    often an equality row is repeated (rescaled, possibly negated), so that
+    phase 1 ends degenerate and drives artificials out of the basis, some
+    of them on a negative pivot."""
+    def rat(lo=-5, hi=5):
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3, 4, 6)))
+
+    n = rng.randint(1, 5)
+    x0 = [rat(0, 3) for _ in range(n)] if rng.random() < 0.7 else None
+
+    def rhs(a, slack):
+        return rat() if x0 is None else sum((p * q for p, q in zip(a, x0)), slack)
+
+    objective = [rat() for _ in range(n)]
+    eq = []
+    for _ in range(rng.randint(0, 3)):
+        a = [rat() for _ in range(n)]
+        eq.append((a, rhs(a, 0)))
+    if eq and rng.random() < 0.5:
+        a, b = rng.choice(eq)
+        k = rng.choice((-1, 1)) * rat(1, 4)
+        eq.append(([k * x for x in a], k * b))
+    ub = []
+    for _ in range(rng.randint(0, 5)):
+        a = [rat() for _ in range(n)]
+        ub.append((a, rhs(a, rat(0, 2))))
+    if rng.random() < 0.5:
+        ub.append(([ONE] * n, rat(1, 8) if x0 is None else sum(x0, rat(0, 2))))
+    return objective, eq, ub
+
+
+def assert_same_solution(objective, eq, ub, sol):
+    want = oracle_lp.lp_max(objective, eq, ub)
+    assert sol == want and repr(sol) == repr(want), (objective, eq, ub)
 
 
 class TestLP:
@@ -100,6 +143,39 @@ class TestLP:
                 assert res.status == 3
             else:
                 assert res.status == 2
+
+
+class TestLPOracle:
+    """The fraction-free lp_max makes the Fraction tableau's pivots, so its
+    LPSolution equals the oracle's: status, primal, both duals, value."""
+
+    def test_random_lps(self):
+        rng = random.Random(6060)
+        statuses = Counter()
+        for _ in range(2500):
+            objective, eq, ub = random_lp(rng)
+            sol = lp_max(objective, eq, ub)
+            assert_same_solution(objective, eq, ub, sol)
+            statuses[sol.status] += 1
+        assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 200
+
+    def test_lps_of_the_solvers(self, monkeypatch):
+        # every LP that systole and cogirth issue, recorded through a wrapper
+        issued = []
+
+        def record(objective, eq=(), ub=()):
+            sol = lp_max(objective, eq, ub)
+            issued.append((objective, eq, ub, sol))
+            return sol
+
+        monkeypatch.setattr(optimize, "lp_max", record)
+        systole(catalog("petersen"))
+        systole(catalog("f14"))
+        cogirth(r10())
+        cogirth(cographic(catalog("petersen")))
+        assert len(issued) > 20
+        for objective, eq, ub, sol in issued:
+            assert_same_solution(objective, eq, ub, sol)
 
 
 class TestSystole:
@@ -329,6 +405,55 @@ class TestCOfRep:
                           Fraction(0))
                 best = val if best is None else min(best, val)
             assert best == f2_min
+
+
+class TestGrayKernel:
+    """The solver's Gray-code walk against the checker's plain enumeration."""
+
+    def test_matches_plain_enumeration(self):
+        rng = random.Random(3000)
+        for _ in range(1500):
+            d = rng.randint(1, 7)
+            pool = [rng.randrange(1 << d) for _ in range(3)]
+            cols = [0 if rng.random() < 0.1
+                    else rng.choice(pool) if rng.random() < 0.3
+                    else rng.randrange(1 << d)
+                    for _ in range(rng.randint(0, 12))]
+            lam = [Fraction(0) if rng.random() < 0.2
+                   else Fraction(rng.randint(1, 3), rng.randint(1, 4))
+                   for _ in cols]
+            assert (optimize._gray_min_dual_vector(cols, lam, d)
+                    == optimize._min_dual_vector(cols, lam, d))
+
+    def test_least_vector_among_ties(self):
+        # columns 01 and 11 at equal weights: f(01) = 1 and f(10) = f(11) = 1/2;
+        # the walk meets 11 before 10 and must still return the least, 10
+        half = Fraction(1, 2)
+        assert optimize._gray_min_dual_vector([1, 3], [half, half], 2) == (half, 2)
+        assert optimize._min_dual_vector([1, 3], [half, half], 2) == (half, 2)
+
+    def test_c_of_rep_unchanged(self, k4, k33):
+        for m in (r10(), graphic(k4), cographic(k33)):
+            rep = WeightedRep.uniform(m.lift)
+            cols = rep.h.mod2().col_masks()
+            assert c_of_rep(rep) == optimize._min_dual_vector(cols, rep.mult, m.rank)
+
+    def test_c_of_rep_rank_zero(self):
+        rep = WeightedRep.uniform(parse_matroid_expr("dual(graphic(builtin:k2))").lift)
+        with pytest.raises(PreconditionError, match="rank-0"):
+            c_of_rep(rep)
+
+    def test_checker_does_not_trust_the_kernel(self, monkeypatch):
+        # a kernel that only looks at the unit vectors stops the cutting
+        # planes at graphic(K4)'s vertex stars (value 2/3, true value 1/2);
+        # verify_cogirth enumerates on its own and rejects the result
+        def wrong(cols, lam, d):
+            return min((optimize._load(optimize._dual_support(1 << k, cols), lam), 1 << k)
+                       for k in range(d))
+
+        monkeypatch.setattr(optimize, "_gray_min_dual_vector", wrong)
+        with pytest.raises(VerificationError):
+            cogirth(graphic(catalog("k4")))
 
 
 class TestKsumRecursion:
