@@ -214,6 +214,21 @@ def _bfs_dist(g: MultiGraph, src: int, avoid_edge: int = -1) -> list[int | None]
     return dist
 
 
+def bfs_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
+    """Breadth-first spanning tree of the component of vertex 0, scanning
+    each incidence list in order: parent[y] = (x, e) for every reached
+    vertex y other than 0, where tree edge e joins y to x."""
+    parent: dict[int, tuple[int, int]] = {}
+    queue = [0]
+    for x in queue:
+        for e in g.incidence[x]:
+            y = g.other_end(e, x)
+            if y != 0 and y not in parent:
+                parent[y] = (x, e)
+                queue.append(y)
+    return parent
+
+
 def _bridges(g: MultiGraph, skip: frozenset[int] = frozenset()) -> list[int]:
     """Bridges of g with the given edges removed, via iterative lowlink.
     Loops are ignored; only the tree edge itself is skipped by id, so a

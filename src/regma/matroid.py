@@ -3,11 +3,16 @@ cographic, and R10 constructions, duality, circuits/cocircuits/hyperplanes,
 1-/2-/3-sums over F2 and over integer weight lattices, odd transforms,
 simplification, and small-instance isomorphism.
 
-A BinaryMatroid stores its F2 representation as constructed (the canonical
-reduced row echelon form is cached for comparisons); when an integer lift is
-present it reduces to the same row space mod 2, so independence can be read
-off either side. Construction provenance is carried along so downstream
-consumers can use the structured builds.
+A BinaryMatroid stores its F2 representation as constructed; when an
+integer lift is present it reduces to the same row space mod 2, so
+independence can be read off either side. Construction provenance is carried
+along so downstream consumers can use the structured builds.
+
+Every k-sum, of matroids or of weighted representations, is one gluing: the
+kept columns of both sides, block-diagonal, restricted to the integer
+lattice on which the glue rows vanish (_glue_lift), or, when a side has no
+lift or a 3-sum triple no signed zero sum, taken modulo the span of the
+glued vectors over F2 (_glue_f2). A 1-sum is the gluing without glue rows.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from .errors import (DisconnectedGraphError, PreconditionError,
 from .exact import (BitMatrix, IntMatrix, Rat, det, f2_rank_words,
                     kernel_lattice_basis, odd_determinant_check, rank_f2,
                     rank_q)
-from .graph import MultiGraph
+from .graph import MultiGraph, bfs_tree
 
-ODD_CHECK_BUDGET = 300_000  # subsets; above this the lift check is deferred
+ODD_CHECK_BUDGET = 300_000  # subsets; above this WeightedRep skips the odd-determinant check
 
 
 @dataclass(frozen=True)
@@ -62,16 +67,6 @@ class BinaryMatroid:
     def columns(self) -> list[int]:
         """Columns as F2 bitmasks (bit i = row i)."""
         return self.rep.col_masks()
-
-    def validate_lift_regularity(self) -> None:
-        """Run the odd-determinant test on the lift (cost grows as C(n, d))."""
-        if self.lift is None:
-            raise PreconditionError("matroid carries no lift")
-        verdict = odd_determinant_check(self.lift)
-        if not verdict.ok:
-            raise PreconditionError(
-                f"lift violates the odd-determinant condition at columns "
-                f"{verdict.violation} (det {verdict.determinant})")
 
     def is_independent(self, subset: Sequence[int]) -> bool:
         cols = self.columns
@@ -127,19 +122,8 @@ def cographic(g: MultiGraph) -> BinaryMatroid:
     a spanning tree. Circuits are the minimal edge cuts of g."""
     if not g.is_connected():
         raise DisconnectedGraphError("cographic() requires a connected graph")
-    tree: set[int] = set()
-    parent: dict[int, tuple[int, int]] = {}
-    seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    for x in queue:
-        for e in g.incidence[x]:
-            y = g.other_end(e, x)
-            if not seen[y]:
-                seen[y] = True
-                tree.add(e)
-                parent[y] = (x, e)
-                queue.append(y)
+    parent = bfs_tree(g)
+    tree = {e for _, e in parent.values()}
     non_tree = [e for e in range(g.m) if e not in tree]
     rows = []
     for f in non_tree:
@@ -200,16 +184,11 @@ def dual(m: BinaryMatroid) -> BinaryMatroid:
     basis of the orthogonal complement; the lift is the transpose of the
     integer kernel lattice basis, which inherits the odd-determinant
     property from the primal lift."""
-    n, d = m.size, m.rank
     if m.lift is not None:
-        klb = kernel_lattice_basis(m.lift)
-        lift = klb.transpose()
-        rep = lift.mod2()
-        if rank_f2(rep) != n - d:
-            raise RankDeficientError("kernel lattice reduced rank mod 2")
-        return BinaryMatroid(m.labels, rep, lift, ("dual", m.provenance))
+        lift = kernel_lattice_basis(m.lift).transpose()
+        return BinaryMatroid(m.labels, lift.mod2(), lift, ("dual", m.provenance))
     kernel = _kernel_basis_masks(m.rep)
-    return BinaryMatroid(m.labels, BitMatrix(len(kernel), n, tuple(kernel)), None,
+    return BinaryMatroid(m.labels, BitMatrix(len(kernel), m.size, tuple(kernel)), None,
                          ("dual", m.provenance))
 
 
@@ -220,7 +199,6 @@ def circuits(m: BinaryMatroid) -> list[tuple[int, ...]]:
     n, d = m.size, m.rank
     check_guard(1 << (n - d), 1 << 22, "circuits kernel enumeration")
     kernel = _kernel_basis_masks(m.rep)
-    members: list[int] = []
     vecs = [0]
     for b in kernel:
         vecs += [v ^ b for v in vecs]
@@ -271,48 +249,59 @@ def hyperplanes(m: BinaryMatroid) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _quotient_rows(killed: list[int], dim: int) -> BitMatrix:
-    """Rows spanning the annihilator of span(killed) in (F2^dim)*: a matrix Q
-    with Q·x = Q·y iff x - y in span(killed)."""
-    rows = [k for k in killed]
-    # Kernel of the matrix whose rows are the killed vectors.
-    mat = BitMatrix(len(rows), dim, tuple(rows))
-    masks = _kernel_basis_masks(mat)
-    return BitMatrix(len(masks), dim, tuple(masks))
+def _glue_row(w1: Sequence[int], w2: Sequence[int]) -> list[int]:
+    """The form (x, y) -> w1·x - w2·y, which vanishes where w1 and w2 agree."""
+    return [*w1, *(-x for x in w2)]
 
 
-def _apply_f2(q: BitMatrix, col: int) -> int:
-    out = 0
-    for i, row in enumerate(q.bits):
-        if _popcount(row & col) & 1:
-            out |= 1 << i
-    return out
+def _glue_lift(h1: IntMatrix, h2: IntMatrix, drop1: Sequence[int],
+               drop2: Sequence[int], glue: list[list[int]]) -> IntMatrix:
+    """The columns of h1 outside drop1 stacked over zeros, then those of h2
+    outside drop2 under zeros, restricted to the lattice of Z^(d1+d2) on
+    which every glue row vanishes, in its Hermite basis."""
+    d1, d2 = h1.rows, h2.rows
+    keep1 = [j for j in range(h1.cols) if j not in drop1]
+    keep2 = [j for j in range(h2.cols) if j not in drop2]
+    stacked = [[h1.at(i, j) for j in keep1] + [0] * len(keep2) for i in range(d1)]
+    stacked += [[0] * len(keep1) + [h2.at(i, j) for j in keep2] for i in range(d2)]
+    basis = kernel_lattice_basis(IntMatrix(len(glue), d1 + d2, tuple(x for r in glue for x in r)))
+    return basis.transpose().mul(
+        IntMatrix(d1 + d2, len(keep1) + len(keep2), tuple(x for r in stacked for x in r)))
 
 
-def _prefixed_labels(m1: BinaryMatroid, m2: BinaryMatroid,
-                     drop1: set[int], drop2: set[int]) -> tuple[str, ...]:
-    lab = [f"a.{m1.labels[i]}" for i in range(m1.size) if i not in drop1]
-    lab += [f"b.{m2.labels[i]}" for i in range(m2.size) if i not in drop2]
-    return tuple(lab)
+def _glue_f2(rep1: BitMatrix, rep2: BitMatrix, drop1: Sequence[int],
+             drop2: Sequence[int], killed: list[int]) -> BitMatrix:
+    """F2 counterpart of _glue_lift: the kept columns of rep1 over those of
+    rep2, in coordinates of F2^(d1+d2) modulo the span of the killed vectors
+    (bitmasks, bit i = coordinate i)."""
+    cols = [c for j, c in enumerate(rep1.col_masks()) if j not in drop1]
+    cols += [c << rep1.rows for j, c in enumerate(rep2.col_masks()) if j not in drop2]
+    # Rows spanning the annihilator of span(killed): two vectors agree on
+    # every row iff they differ by a killed combination.
+    quotient = _kernel_basis_masks(BitMatrix(len(killed), rep1.rows + rep2.rows, tuple(killed)))
+    return BitMatrix(len(quotient), len(cols), tuple(
+        sum((_popcount(q & c) & 1) << j for j, c in enumerate(cols)) for q in quotient))
+
+
+def _glued(m1: BinaryMatroid, m2: BinaryMatroid, drop1: Sequence[int],
+           drop2: Sequence[int], glue: list[list[int]] | None, killed: list[int],
+           provenance: tuple) -> BinaryMatroid:
+    """The sum of m1 and m2 without the glued elements: over the integer glue
+    lattice when both sides are lifted and glue rows are given, else over F2
+    modulo the killed vectors."""
+    if m1.lift is not None and m2.lift is not None and glue is not None:
+        lift = _glue_lift(m1.lift, m2.lift, drop1, drop2, glue)
+        rep = lift.mod2()
+    else:
+        lift, rep = None, _glue_f2(m1.rep, m2.rep, drop1, drop2, killed)
+    labels = [f"a.{x}" for j, x in enumerate(m1.labels) if j not in drop1]
+    labels += [f"b.{x}" for j, x in enumerate(m2.labels) if j not in drop2]
+    return BinaryMatroid(tuple(labels), rep, lift, provenance)
 
 
 def sum1(m1: BinaryMatroid, m2: BinaryMatroid) -> BinaryMatroid:
     """Direct sum: block-diagonal representation."""
-    d1, d2 = m1.rank, m2.rank
-    rows = [m1.rep.bits[i] for i in range(d1)]
-    rows += [m2.rep.bits[i] << m1.size for i in range(d2)]
-    rep = BitMatrix(d1 + d2, m1.size + m2.size, tuple(rows))
-    lift = None
-    if m1.lift is not None and m2.lift is not None:
-        lrows = []
-        for i in range(d1):
-            lrows.append(list(m1.lift.row(i)) + [0] * m2.size)
-        for i in range(d2):
-            lrows.append([0] * m1.size + list(m2.lift.row(i)))
-        lift = IntMatrix.from_rows(lrows)
-        rep = lift.mod2()
-    labels = _prefixed_labels(m1, m2, set(), set())
-    return BinaryMatroid(labels, rep, lift, ("sum1", m1, m2))
+    return _glued(m1, m2, (), (), [], [], ("sum1", m1, m2))
 
 
 def sum2(m1: BinaryMatroid, e1: str, m2: BinaryMatroid, e2: str) -> BinaryMatroid:
@@ -321,40 +310,14 @@ def sum2(m1: BinaryMatroid, e1: str, m2: BinaryMatroid, e2: str) -> BinaryMatroi
     i1, i2 = m1.label_index(e1), m2.label_index(e2)
     if m1.size < 2 or m2.size < 2:
         raise PreconditionError("2-sum needs at least two elements per side")
-    d1, d2 = m1.rank, m2.rank
     v1, v2 = m1.columns[i1], m2.columns[i2]
     if v1 == 0 or v2 == 0:
         raise PreconditionError("2-sum requires nonzero glued columns")
-    lift = None
-    rep = None
+    glue = None
     if m1.lift is not None and m2.lift is not None:
-        w1 = m1.lift.col(i1)
-        w2 = m2.lift.col(i2)
-        glue = IntMatrix.from_rows([list(w1) + [-x for x in w2]])
-        basis = kernel_lattice_basis(glue)  # (d1+d2) x (d1+d2-1)
-        bt = basis.transpose()
-        cols = []
-        for j in range(m1.size):
-            if j != i1:
-                cols.append(list(m1.lift.col(j)) + [0] * d2)
-        for j in range(m2.size):
-            if j != i2:
-                cols.append([0] * d1 + list(m2.lift.col(j)))
-        big = IntMatrix.from_rows(cols).transpose()
-        lift = bt.mul(big)
-        rep = lift.mod2()
-    else:
-        q = _quotient_rows([v1 | (v2 << d1)], d1 + d2)
-        cols = []
-        for j in range(m1.size):
-            if j != i1:
-                cols.append(_apply_f2(q, m1.columns[j]))
-        for j in range(m2.size):
-            if j != i2:
-                cols.append(_apply_f2(q, m2.columns[j] << d1))
-        rep = BitMatrix(len(cols), q.rows, tuple(cols)).transpose()
-    labels = _prefixed_labels(m1, m2, {i1}, {i2})
-    return BinaryMatroid(labels, rep, lift, ("sum2", m1, i1, m2, i2))
+        glue = [_glue_row(m1.lift.col(i1), m2.lift.col(i2))]
+    return _glued(m1, m2, (i1,), (i2,), glue, [v1 | v2 << m1.rank],
+                  ("sum2", m1, i1, m2, i2))
 
 
 def _triple_indices(m: BinaryMatroid, triple: Sequence[str]) -> list[int]:
@@ -375,51 +338,24 @@ def sum3(m1: BinaryMatroid, triple1: Sequence[str],
          m2: BinaryMatroid, triple2: Sequence[str]) -> BinaryMatroid:
     """3-sum along two element triples each spanning a 2-space and summing to
     zero; the identification pairs triple1[j] with triple2[j]. All six glued
-    elements are removed."""
+    elements are removed. The sum is lifted when both triples have signs
+    making their lift columns sum to zero; the three glue rows then sum to
+    zero, so the glue lattice has corank 2, as over F2."""
     if m1.size < 7 or m2.size < 7:
         raise PreconditionError("3-sum needs at least seven elements per side")
     idx1 = _triple_indices(m1, triple1)
     idx2 = _triple_indices(m2, triple2)
-    d1, d2 = m1.rank, m2.rank
-    lift = None
-    rep = None
+    glue = None
     if m1.lift is not None and m2.lift is not None:
         s1 = _signed_zero_sum([m1.lift.col(i) for i in idx1])
         s2 = _signed_zero_sum([m2.lift.col(i) for i in idx2])
         if s1 is not None and s2 is not None:
-            rows = []
-            for j in range(3):
-                w1 = [s1[j] * x for x in m1.lift.col(idx1[j])]
-                w2 = [s2[j] * x for x in m2.lift.col(idx2[j])]
-                rows.append(w1 + [-x for x in w2])
-            glue = IntMatrix.from_rows(rows)
-            basis = kernel_lattice_basis(glue)
-            if basis.cols == d1 + d2 - 2:
-                bt = basis.transpose()
-                cols = []
-                for j in range(m1.size):
-                    if j not in idx1:
-                        cols.append(list(m1.lift.col(j)) + [0] * d2)
-                for j in range(m2.size):
-                    if j not in idx2:
-                        cols.append([0] * d1 + list(m2.lift.col(j)))
-                big = IntMatrix.from_rows(cols).transpose()
-                lift = bt.mul(big)
-                rep = lift.mod2()
-    if rep is None:
-        lift = None
-        killed = [m1.columns[idx1[j]] | (m2.columns[idx2[j]] << d1) for j in range(2)]
-        q = _quotient_rows(killed, d1 + d2)
-        cols = []
-        for j in range(m1.size):
-            if j not in idx1:
-                cols.append(_apply_f2(q, m1.columns[j]))
-        for j in range(m2.size):
-            if j not in idx2:
-                cols.append(_apply_f2(q, m2.columns[j] << d1))
-        rep = BitMatrix(len(cols), q.rows, tuple(cols)).transpose()
-    labels = _prefixed_labels(m1, m2, set(idx1), set(idx2))
-    return BinaryMatroid(labels, rep, lift, ("sum3", m1, tuple(idx1), m2, tuple(idx2)))
+            glue = [_glue_row([s1[j] * x for x in m1.lift.col(idx1[j])],
+                              [s2[j] * x for x in m2.lift.col(idx2[j])])
+                    for j in range(3)]
+    killed = [m1.columns[idx1[j]] | m2.columns[idx2[j]] << m1.rank for j in range(2)]
+    return _glued(m1, m2, idx1, idx2, glue, killed,
+                  ("sum3", m1, tuple(idx1), m2, tuple(idx2)))
 
 
 def _signed_zero_sum(cols: list[tuple[int, ...]]) -> tuple[int, int, int] | None:
@@ -468,62 +404,40 @@ def ksum_rep(r1: WeightedRep, r2: WeightedRep, k: int,
              selections: tuple = (), keep_glued: bool = False) -> WeightedRep:
     """k-sum of weighted representations over the integer lattice
     Gamma = intersection of ker(w_1j - w_2j); surviving weights restrict to a
-    Hermite-canonical basis of Gamma.
+    Hermite-canonical basis of Gamma (the same _glue_lift as sum1/2/3).
 
     selections: () for k=1; (i1, i2) column indices for k=2; two index
     triples ((a,b,c),(a',b',c')) for k=3, paired in order, each triple
-    summing to zero. keep_glued retains the glued weights (restricted, equal
-    in pairs) with summed multiplicities instead of removing them.
+    summing to zero. keep_glued retains the glued weights, appended in pair
+    order with summed multiplicities, instead of removing them; restricted
+    to Gamma each pair is one weight, so the copy kept is r2's.
     """
-    d1, d2 = r1.h.rows, r2.h.rows
     if k == 1:
-        drop1: list[int] = []
-        drop2: list[int] = []
-        glue = IntMatrix(0, d1 + d2, ())
+        drop1: Sequence[int] = ()
+        drop2: Sequence[int] = ()
     elif k == 2:
         i1, i2 = selections
-        drop1, drop2 = [i1], [i2]
-        w1, w2 = r1.h.col(i1), r2.h.col(i2)
-        if all(x == 0 for x in w1) or all(x == 0 for x in w2):
+        drop1, drop2 = (i1,), (i2,)
+        if not any(r1.h.col(i1)) or not any(r2.h.col(i2)):
             raise PreconditionError("2-sum weights must be nonzero")
-        glue = IntMatrix.from_rows([list(w1) + [-x for x in w2]])
     elif k == 3:
-        t1, t2 = selections
-        drop1, drop2 = list(t1), list(t2)
-        for rep, tri in ((r1, t1), (r2, t2)):
+        drop1, drop2 = selections
+        for rep, tri in ((r1, drop1), (r2, drop2)):
             cols = [rep.h.col(i) for i in tri]
-            if any(all(x == 0 for x in c) for c in cols):
+            if not all(any(c) for c in cols):
                 raise PreconditionError("3-sum weights must be nonzero")
             if any(sum(v) != 0 for v in zip(*cols)):
                 raise PreconditionError("3-sum triples must sum to zero")
-        rows = []
-        for j in range(3):
-            w1, w2 = r1.h.col(t1[j]), r2.h.col(t2[j])
-            rows.append(list(w1) + [-x for x in w2])
-        glue = IntMatrix.from_rows(rows)
     else:
         raise PreconditionError("k must be 1, 2, or 3")
-
-    basis = kernel_lattice_basis(glue)
-    bt = basis.transpose()
-    cols = []
-    mults: list[Rat] = []
-    for j in range(r1.h.cols):
-        if j not in drop1:
-            cols.append(list(r1.h.col(j)) + [0] * d2)
-            mults.append(r1.mult[j])
-    for j in range(r2.h.cols):
-        if j not in drop2:
-            cols.append([0] * d1 + list(r2.h.col(j)))
-            mults.append(r2.mult[j])
+    glue = [_glue_row(r1.h.col(j1), r2.h.col(j2)) for j1, j2 in zip(drop1, drop2)]
+    mults = [x for j, x in enumerate(r1.mult) if j not in drop1]
+    mults += [x for j, x in enumerate(r2.mult) if j not in drop2]
+    h2 = r2.h
     if keep_glued and k > 1:
-        pairs = [(drop1[j], drop2[j]) for j in range(len(drop1))]
-        for j1, j2 in pairs:
-            cols.append(list(r1.h.col(j1)) + [0] * d2)
-            mults.append(r1.mult[j1] + r2.mult[j2])
-    big = IntMatrix.from_rows(cols).transpose()
-    h = bt.mul(big)
-    return WeightedRep(h, tuple(mults))
+        h2 = IntMatrix.from_rows([[*row, *(row[j] for j in drop2)] for row in r2.h.to_rows()])
+        mults += [r1.mult[j1] + r2.mult[j2] for j1, j2 in zip(drop1, drop2)]
+    return WeightedRep(_glue_lift(r1.h, h2, drop1, drop2, glue), tuple(mults))
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,12 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
     (index sets) of an implicit family, by cutting planes: separate(lam)
     returns the family's minimum and candidate rows, and those lam violates
     join the LP. Returns lam, the value, the active rows in the order they
-    joined, and the LP duals as a distribution over rows."""
+    joined, and the LP duals as a distribution over rows.
+
+    Every round must make progress: the family's minimum cannot exceed the
+    LP value, and below it there must be a violated row not yet in the LP,
+    since every active row weighs at least t. A faulty LP or oracle that
+    breaks either raises VerificationError instead of looping."""
     rows = list(seeds)
     while True:
         sol = _maxmin_lp(n, rows)
@@ -222,7 +227,11 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
         got, new = separate(lam)
         if got == t:
             break
-        rows.extend(s for s in new if _load(s, lam) < t)
+        violated = [s for s in new if _load(s, lam) < t]
+        if got > t or not violated or not set(rows).isdisjoint(violated):
+            raise VerificationError(
+                f"cutting-plane round made no progress at t = {t} (oracle minimum {got})")
+        rows.extend(violated)
     dual = [(s, y) for s, y in zip(rows, sol.dual_ub) if y]
     total = sum((y for _, y in dual), ZERO)
     if total <= 0:

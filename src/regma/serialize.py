@@ -19,7 +19,7 @@ from itertools import accumulate
 
 from .catalog import catalog
 from .errors import InputError, RegmaError
-from .exact import BitMatrix, IntMatrix, format_rat, parse_rat
+from .exact import BitMatrix, IntMatrix, parse_rat
 from .graph import MultiGraph
 from .matroid import BinaryMatroid, cographic, dual, graphic, r10, simplify, sum1, sum2, sum3
 
@@ -42,10 +42,6 @@ def load_weights(path: str, m: int) -> tuple[Fraction, ...]:
     if len(vals) != m:
         raise InputError(f"expected {m} weights, got {len(vals)}")
     return tuple(vals)
-
-
-def format_weights(w) -> str:
-    return "\n".join(format_rat(x) for x in w)
 
 
 def format_matroid(m: BinaryMatroid) -> str:

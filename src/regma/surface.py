@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .errors import (DisconnectedGraphError, PreconditionError,
                      VerificationError, check_guard)
-from .graph import Cycle, MultiGraph, betti
+from .graph import Cycle, MultiGraph, betti, bfs_tree
 
 
 @dataclass(frozen=True)
@@ -212,17 +212,7 @@ def _sign_candidates(g: MultiGraph, orientable: bool) -> Iterator[tuple[int, ...
     if orientable:
         yield (1,) * g.m
         return
-    tree: set[int] = set()
-    seen = [False] * g.n
-    seen[0] = True
-    queue = [0]
-    for x in queue:
-        for e in g.incidence[x]:
-            y = g.other_end(e, x)
-            if not seen[y]:
-                seen[y] = True
-                tree.add(e)
-                queue.append(y)
+    tree = {e for _, e in bfs_tree(g).values()}
     free = [e for e in range(g.m) if e not in tree]
     for bits in product((1, -1), repeat=len(free)):
         signs = [1] * g.m

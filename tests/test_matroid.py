@@ -14,6 +14,7 @@ from regma.matroid import (BinaryMatroid, Divide, Pullback, Pushforward,
                            cographic, dual, graphic, hyperplanes, isomorphic,
                            ksum_rep, odd_transform, r10, simplify, sum1, sum2,
                            sum3)
+from regma.serialize import format_matroid, parse_matroid_expr
 
 
 def min_edge_cuts(g):
@@ -206,6 +207,13 @@ class TestSums:
         assert s.rank == 6 and s.size == 12
         assert odd_determinant_check(s.lift).ok
 
+    def test_sum1_rank_zero(self):
+        # two loops: the lift is 0 x 2, not 0 x 0
+        loop = graphic(MultiGraph(1, ((0, 0),)))
+        s = sum1(loop, loop)
+        assert (s.rank, s.size, s.lift.cols) == (0, 2, 2)
+        assert circuits(s) == [(0,), (1,)]
+
     def test_sum2_is_clique_sum(self, k4):
         s = sum2(graphic(k4), "e0", graphic(k4), "e0")
         assert s.rank == 5 and s.size == 10
@@ -268,6 +276,66 @@ class TestSums:
         s3 = sum3(graphic(k5), tri, graphic(k5), tri)
         assert s3.rank == 4 + 4 - 2 + 0 or s3.rank == 4 + 4 - 2
         assert s3.rank <= 4 + 4 - 3 + 1
+
+
+def _clique_sum(g, shared, drop):
+    """Two copies of g glued along the vertices in shared (the second copy's
+    other vertices renumbered after g's), without the edges in drop; edge
+    order matches the sums' labels: the first copy's, then the second's."""
+    others = [v for v in range(g.n) if v not in shared]
+    remap = {v: v for v in shared} | {v: g.n + i for i, v in enumerate(others)}
+    kept = [e for i, e in enumerate(g.edges) if i not in drop]
+    edges = kept + [(remap[u], remap[v]) for u, v in kept]
+    return MultiGraph(g.n + len(others), tuple(edges))
+
+
+class TestLiftlessSums:
+    """Sums of file: matroids without a LIFT section take the F2 path."""
+
+    @pytest.fixture
+    def bare(self, tmp_path):
+        def write(name, m):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(format_matroid(BinaryMatroid(m.labels, m.rep)))
+            return f"file:{path}"
+        return write
+
+    def test_sum1(self, bare, k4):
+        f = bare("k4", graphic(k4))
+        s = parse_matroid_expr(f"sum1({f}, {f})")
+        assert s.lift is None and s.rank == 6
+        assert circuits(s) == circuits(graphic(_clique_sum(k4, {0}, set())))
+
+    def test_sum2(self, bare, k4):
+        f = bare("k4", graphic(k4))
+        s = parse_matroid_expr(f"sum2({f}@e0, {f}@e0)")
+        assert s.lift is None and s.rank == 5
+        assert circuits(s) == circuits(graphic(_clique_sum(k4, {0, 1}, {0})))
+
+    def test_sum3(self, bare):
+        k5 = catalog("k5")
+        f = bare("k5", graphic(k5))
+        s = parse_matroid_expr(f"sum3({f}@{{e0,e4,e1}}, {f}@{{e0,e4,e1}})")
+        assert s.lift is None and s.rank == 6
+        assert circuits(s) == circuits(graphic(_clique_sum(k5, {0, 1, 2}, {0, 4, 1})))
+
+    def test_mixed_sides_match_liftless(self, bare, k4):
+        f = bare("k4", graphic(k4))
+        mixed = parse_matroid_expr(f"sum2({f}@e0, graphic(builtin:k4)@e0)")
+        assert mixed.lift is None
+        assert circuits(mixed) == circuits(graphic(_clique_sum(k4, {0, 1}, {0})))
+
+    def test_sum3_without_signed_zero_sum_falls_back(self):
+        # lift columns (1,0), (0,1), (1,3) sum to zero mod 2, but no signs
+        # make them sum to zero over Z
+        lift = IntMatrix.from_rows([[1, 0, 1, 1, 0, 1, 1], [0, 1, 3, 0, 1, 1, 0]])
+        m = BinaryMatroid(tuple(f"e{i}" for i in range(7)), lift.mod2(), lift)
+        k5 = graphic(catalog("k5"))
+        s = sum3(m, ["e0", "e1", "e2"], k5, ["e0", "e4", "e1"])
+        assert s.lift is None and s.rank == 4
+        plain = sum3(BinaryMatroid(m.labels, m.rep), ["e0", "e1", "e2"],
+                     BinaryMatroid(k5.labels, k5.rep), ["e0", "e4", "e1"])
+        assert s.rep == plain.rep
 
 
 class TestKsumRep:

@@ -369,6 +369,28 @@ class TestMaxMin:
         assert not verify_maxmin(3, lam, t, lambda w: separate(w)[0],
                                  lambda s: s, [frozenset({0})], dual)
 
+    def test_faulty_oracle_raises(self):
+        family = [frozenset(r) for r in ({0, 1}, {1, 2}, {0, 2})]
+        # a minimum above the LP value, and one below it with no row offered
+        for faulty in (lambda lam: (Fraction(2), family), lambda lam: (Fraction(0), [])):
+            with pytest.raises(VerificationError, match="no progress"):
+                solve_maxmin(3, family[:1], faulty)
+
+    def test_faulty_lp_raises_within_a_few_rounds(self, monkeypatch):
+        # an LP that ignores every cut after the seeds returns the same
+        # optimum again, so the oracle can only offer rows already active
+        # (the engine used to grow the LP without end here)
+        calls = []
+
+        def stale(objective, eq, ub):
+            calls.append(len(ub))
+            return lp_max(objective, eq, ub[:calls[0]])
+
+        monkeypatch.setattr(optimize, "lp_max", stale)
+        with pytest.raises(VerificationError, match="no progress"):
+            systole(catalog("petersen"))
+        assert len(calls) <= 3
+
 
 class TestCOfRep:
     def test_r10_uniform(self):
