@@ -8,7 +8,7 @@ import json
 import sys
 
 from regma.catalog import NAMED_CYCLE_MODES, catalog, named_cycle
-from regma.surface import embeds_in, embeds_with_face, verify_certificate
+from regma.surface import embeds_in, verify_certificate
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
     for cname in sorted(NAMED_CYCLE_MODES):
         g, c = named_cycle(cname)
         chi, orientable = NAMED_CYCLE_MODES[cname]
-        cert = embeds_with_face(g, chi, orientable, c)
+        cert = embeds_in(g, chi, orientable, face=c)
         if cert is None or not verify_certificate(g, cert, c):
             print(f"error: no verified embedding of {cname} with its pinned "
                   f"cycle as a face", file=sys.stderr)

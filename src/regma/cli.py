@@ -25,7 +25,7 @@ from .optimize import (CogirthResult, SystoleResult, c_of_rep, cogirth,
                        verify_systole)
 from .serialize import (format_matroid, load_graph, load_weights,
                         parse_matroid_expr)
-from .surface import EmbeddingCertificate, embeds_in, embeds_with_face, verify_certificate
+from .surface import EmbeddingCertificate, embeds_in, verify_certificate
 
 
 def _emit(args, payload: dict) -> None:
@@ -166,10 +166,7 @@ def _cmd_embed(args) -> int:
         print(f"certificate {'ok' if ok else 'FAILED'}", file=sys.stderr)
         return 0 if ok else 1
     orientable = not args.nonorientable
-    if face is not None:
-        cert = embeds_with_face(g, args.chi, orientable, face)
-    else:
-        cert = embeds_in(g, args.chi, orientable, want_max=args.max_chi)
+    cert = embeds_in(g, args.chi, orientable, face=face, want_max=args.max_chi)
     if cert is None:
         print("no embedding found (exhaustive)", file=sys.stderr)
         return 1

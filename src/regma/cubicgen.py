@@ -1,5 +1,7 @@
 """Isomorph-free generation of connected cubic simple graphs, plus the
-canonical-labeling and automorphism machinery backing it.
+canonical labelling backing it. One search gives both the canonical ordering
+and the automorphism group: the group is the set of maps from the canonical
+ordering onto the other orderings with the same minimal encoding.
 
 Every connected cubic simple graph is grown from K4 by three moves, each
 child deduplicated by canonical form:
@@ -74,7 +76,14 @@ def canonical_form(g: MultiGraph) -> str:
 
 
 def canonical_order(g: MultiGraph) -> tuple[int, ...]:
-    """The vertex ordering realizing the minimal invariant encoding.
+    """The vertex ordering realizing the minimal invariant encoding: the
+    first the labelling search reaches."""
+    return _minimal_orders(g)[0]
+
+
+def _minimal_orders(g: MultiGraph) -> list[tuple[int, ...]]:
+    """Every vertex ordering with the minimal invariant encoding, in search
+    order; the first is the canonical one.
 
     The vertex placed at depth k emits the column (negated adjacency counts
     to the k placed vertices in order, loops, colour). Encodings compare
@@ -88,7 +97,8 @@ def canonical_order(g: MultiGraph) -> tuple[int, ...]:
     worse subtrees are cut, so the search still reaches, in the same order,
     every node on the way to the first minimal encoding. The minimum, the
     returned ordering and so every canonical string are those of the
-    exhaustive search.
+    exhaustive search, and every leaf of the exhaustive search with the
+    minimal encoding is still reached.
 
     Each open vertex holds its column as one integer: the rank of its
     (loops, colour) tail minus its counts to the prefix as base-B digits,
@@ -98,7 +108,7 @@ def canonical_order(g: MultiGraph) -> tuple[int, ...]:
     colors = _refine_colors(g, counts)
     n = g.n
     if n == 0:
-        return ()
+        return [()]
 
     by_color: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -118,7 +128,7 @@ def canonical_order(g: MultiGraph) -> tuple[int, ...]:
     perm = [0] * n
     enc = [0] * n  # enc[0] is the same for every vertex of first_class
     best_enc: list[int] = []
-    best_perm: tuple[int, ...] = ()
+    leaves: list[tuple[int, ...]] = []  # the orderings encoding as best_enc
 
     def place(v: int, i: int, sign: int):
         """Place v at position i (sign 1) or take it back (sign -1)."""
@@ -132,10 +142,12 @@ def canonical_order(g: MultiGraph) -> tuple[int, ...]:
         """Search below the k placed vertices, whose encoding is below
         best_enc's prefix if `less` and equal to it otherwise. Returns whether
         best_enc was replaced, after which the prefix equals its prefix."""
-        nonlocal best_enc, best_perm
+        nonlocal best_enc
         if k == n:
             if less:
-                best_enc, best_perm = enc[:], tuple(perm)
+                best_enc = enc[:]
+                leaves.clear()
+            leaves.append(tuple(perm))
             return less
         col = min(key)
         if not less:
@@ -154,38 +166,27 @@ def canonical_order(g: MultiGraph) -> tuple[int, ...]:
 
     for v0 in first_class:
         place(v0, 0, 1)
-        extend(1, not best_perm)
+        extend(1, not leaves)
         place(v0, 0, -1)
-    return best_perm
+    return leaves
 
 
 def automorphisms(g: MultiGraph) -> list[tuple[int, ...]]:
     """All vertex permutations p (p[v] = image of v) preserving adjacency
-    counts."""
-    counts = _adjacency_counts(g)
-    colors = _refine_colors(g, counts)
-    n = g.n
-    out: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
+    counts, in lexicographic order.
 
-    def extend(v: int):
-        if v == n:
-            out.append(tuple(image))
-            return
-        for w in range(n):
-            if used[w] or colors[w] != colors[v] or counts[w][w] != counts[v][v]:
-                continue
-            if any(image[u] >= 0 and counts[v][u] != counts[w][image[u]] for u in range(v)):
-                continue
-            image[v] = w
-            used[w] = True
-            extend(v + 1)
-            used[w] = False
-            image[v] = -1
-
-    extend(0)
-    return out
+    Read off the labelling search: two orderings with the minimal encoding
+    have equal counts position by position, so mapping the canonical one onto
+    the other is an automorphism, and every automorphism carries the search
+    tree onto itself, so the canonical ordering's image is one of them."""
+    orders = _minimal_orders(g)
+    out = []
+    for order in orders:
+        p = [0] * g.n
+        for v, w in zip(orders[0], order):
+            p[v] = w
+        out.append(tuple(p))
+    return sorted(out)
 
 
 def _h_insertions(g: MultiGraph) -> Iterator[MultiGraph]:

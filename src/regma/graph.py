@@ -3,6 +3,11 @@ connectivity, and reduction machinery used by the systole computations.
 
 Edges carry stable integer ids 0..m-1 given by their position in the edge
 list. Weights are nonnegative exact rationals, one per edge id.
+
+Minimum cycles come from one search, `min_cycles_per_edge`: a minimum-weight
+cycle through each edge, by a Dijkstra whose labels carry the sorted edge
+ids. `min_weight_cycle` is the least of them. Edge cuts below three edges are
+bridges, found by lowlink, of the graph with at most one edge removed.
 """
 
 from __future__ import annotations
@@ -54,9 +59,6 @@ class MultiGraph:
         """Loops contribute 2."""
         return sum(2 if self.edges[e][0] == self.edges[e][1] else 1
                    for e in self.incidence[v])
-
-    def degrees(self) -> list[int]:
-        return [self.degree(v) for v in range(self.n)]
 
     def other_end(self, e: int, v: int) -> int:
         u, w = self.edges[e]
@@ -271,7 +273,10 @@ def _bridges(g: MultiGraph, skip: frozenset[int] = frozenset()) -> list[int]:
 
 def edge_cut_below(g: MultiGraph, k: int) -> tuple[int, ...] | None:
     """Smallest disconnecting edge set of size < k if one exists, else None;
-    ties broken lexicographically. Requires g connected."""
+    ties broken lexicographically. Requires g connected and k <= 3: a bridge
+    by lowlink, else a bridge of g minus one edge."""
+    if k > 3:
+        raise PreconditionError("edge_cut_below finds cuts of size 1 or 2 only (k <= 3)")
     if not g.is_connected():
         raise DisconnectedGraphError("edge_cut_below requires a connected graph")
     if g.n <= 1 or k <= 1:
@@ -287,14 +292,6 @@ def edge_cut_below(g: MultiGraph, k: int) -> tuple[int, ...] | None:
         br = _bridges(g, skip=frozenset([e]))
         if br:
             return (e, br[0]) if e < br[0] else (br[0], e)
-    if k <= 3:
-        return None
-    # Sizes >= 3: plain subset enumeration (desk-scale inputs only).
-    non_loops = [e for e in range(g.m) if not g.is_loop(e)]
-    for size in range(3, k):
-        for subset in combinations(non_loops, size):
-            if len(g.components(frozenset(subset))) > 1:
-                return subset
     return None
 
 
@@ -304,58 +301,44 @@ def is_three_edge_connected(g: MultiGraph) -> bool:
 
 
 def min_weight_cycle(g: MultiGraph, w: Sequence[Fraction]) -> tuple[Cycle, Fraction]:
-    """Minimum-weight simple cycle; ties broken by lexicographically smallest
-    sorted edge-id tuple.
-
-    For each edge e=(u,v) the candidate is e plus a weight-shortest u-v path
-    avoiding e, found by Dijkstra over labels (weight, sorted edge tuple) so
-    the lexicographic tie-break is exact.
+    """Minimum-weight simple cycle: the least (weight, sorted edge ids) of
+    the per-edge cycles of `min_cycles_per_edge`. Every cycle weighs at least
+    the per-edge value of each of its edges, so the weight is the minimum;
+    ties are broken as `min_cycles_per_edge` breaks them.
     """
-    per_edge = min_cycles_per_edge(g, w, prune=True)
-    best = None
-    for cand in per_edge.values():
-        if best is None or cand < best:
-            best = cand
-    if best is None:
+    per_edge = min_cycles_per_edge(g, w)
+    if not per_edge:
         raise AcyclicGraphError("graph has no cycle")
-    value, ids = best
+    value, ids = min(per_edge.values())
     return Cycle(frozenset(ids)), value
 
 
-def min_cycles_per_edge(g: MultiGraph, w: Sequence[Fraction],
-                        prune: bool = False) -> dict[int, tuple[Fraction, tuple[int, ...]]]:
-    """For each edge on a cycle, the lexicographically least minimum-weight
-    cycle through it as (weight, sorted edge ids). With prune, cycles that
-    cannot beat the best so far may be dropped (only the overall minimum is
-    then meaningful)."""
+def min_cycles_per_edge(g: MultiGraph, w: Sequence[Fraction]
+                        ) -> dict[int, tuple[Fraction, tuple[int, ...]]]:
+    """For each edge on a cycle, a minimum-weight cycle through it as
+    (weight, sorted edge ids): a loop alone, else the edge e=(u,v) plus the
+    u-v path avoiding e found by `_lex_dijkstra`."""
     w = check_weights(g, w)
     out: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
-    best: Fraction | None = None
     for e, (u, v) in enumerate(g.edges):
         if u == v:
             out[e] = (w[e], (e,))
-            if best is None or w[e] < best:
-                best = w[e]
-    for e, (u, v) in enumerate(g.edges):
-        if u == v:
             continue
-        label = _lex_dijkstra(g, w, u, v, avoid_edge=e,
-                              upper=best if prune else None)
-        if label is None:
-            continue
-        dist, path = label
-        out[e] = (dist + w[e], tuple(sorted(path + (e,))))
-        if prune and (best is None or out[e][0] < best):
-            best = out[e][0]
+        label = _lex_dijkstra(g, w, u, v, avoid_edge=e)
+        if label is not None:
+            dist, path = label
+            out[e] = (dist + w[e], tuple(sorted(path + (e,))))
     return out
 
 
 def _lex_dijkstra(g: MultiGraph, w: Sequence[Fraction], src: int, dst: int,
-                  avoid_edge: int, upper: Fraction | None):
-    """Shortest (weight, sorted-edge-tuple) label from src to dst avoiding
-    one edge. Zero-weight edges are fine: appending an edge strictly grows
-    the label, and label order is preserved under appending a common edge,
-    so Dijkstra's invariant holds for the lexicographic order."""
+                  avoid_edge: int):
+    """A minimum-weight src-dst path avoiding one edge, as the label
+    (weight, sorted edge ids). Dijkstra on the weight is exact for
+    nonnegative weights; ties are broken by the sorted ids, deterministically
+    but not always to the least set, because appending a zero-weight edge can
+    make a label smaller: a path (12,) that loses to (8,) at dst would win
+    as (3, 12) after its zero-weight edge 3, but dst is already settled."""
     best: dict[int, tuple[Fraction, tuple[int, ...]]] = {src: (Fraction(0), ())}
     heap: list[tuple[Fraction, tuple[int, ...], int]] = [(Fraction(0), (), src)]
     done: set[int] = set()
@@ -373,8 +356,6 @@ def _lex_dijkstra(g: MultiGraph, w: Sequence[Fraction], src: int, dst: int,
             if y in done:
                 continue
             nd = dist + w[e]
-            if upper is not None and nd > upper:
-                continue
             npath = tuple(sorted(path + (e,)))
             cur = best.get(y)
             if cur is None or (nd, npath) < cur:

@@ -36,12 +36,8 @@ class InvolutionSet:
             raise PreconditionError("every element must lie in at least four kernels")
 
 
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
-
-
 def _kernel_counts(cols: Sequence[int], vs: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(1 for v in vs if not _parity(v & c)) for c in cols)
+    return tuple(sum(1 for v in vs if not (v & c).bit_count() & 1) for c in cols)
 
 
 def six_involutions(m: BinaryMatroid) -> InvolutionSet:
@@ -71,7 +67,7 @@ def verify_involutions(m: BinaryMatroid, mult: Sequence[Rat],
     total = sum(mult, Fraction(0))
     ksum = Fraction(0)
     for v in s.vs:
-        ksum += sum((mult[i] for i, c in enumerate(cols) if _parity(v & c)),
+        ksum += sum((mult[i] for i, c in enumerate(cols) if (v & c).bit_count() & 1),
                     Fraction(0))
     counts = _kernel_counts(cols, s.vs)
     sound = (len(set(s.vs)) == len(s.vs) == 6
@@ -87,7 +83,7 @@ def _pruned_search(cols: Sequence[int]) -> tuple[int, ...] | None:
     chosen functionals."""
     distinct = sorted(set(cols))
     vectors = list(range(1, 64))
-    fails = {v: [i for i, c in enumerate(distinct) if _parity(v & c)]
+    fails = {v: [i for i, c in enumerate(distinct) if (v & c).bit_count() & 1]
              for v in vectors}
     chosen: list[int] = []
     fail_count = [0] * len(distinct)

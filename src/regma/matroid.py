@@ -203,7 +203,7 @@ def circuits(m: BinaryMatroid) -> list[tuple[int, ...]]:
     for b in kernel:
         vecs += [v ^ b for v in vecs]
     vecs = [v for v in vecs if v]
-    vecs.sort(key=_popcount)
+    vecs.sort(key=int.bit_count)
     minimal: list[int] = []
     for v in vecs:
         if not any(u & v == u for u in minimal):
@@ -225,10 +225,6 @@ def _kernel_basis_masks(rep: BitMatrix) -> list[int]:
                 mask |= 1 << p
         out.append(mask)
     return out
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def _mask_bits(x: int):
@@ -280,7 +276,7 @@ def _glue_f2(rep1: BitMatrix, rep2: BitMatrix, drop1: Sequence[int],
     # every row iff they differ by a killed combination.
     quotient = _kernel_basis_masks(BitMatrix(len(killed), rep1.rows + rep2.rows, tuple(killed)))
     return BitMatrix(len(quotient), len(cols), tuple(
-        sum((_popcount(q & c) & 1) << j for j, c in enumerate(cols)) for q in quotient))
+        sum(((q & c).bit_count() & 1) << j for j, c in enumerate(cols)) for q in quotient))
 
 
 def _glued(m1: BinaryMatroid, m2: BinaryMatroid, drop1: Sequence[int],
@@ -313,6 +309,9 @@ def sum2(m1: BinaryMatroid, e1: str, m2: BinaryMatroid, e2: str) -> BinaryMatroi
     v1, v2 = m1.columns[i1], m2.columns[i2]
     if v1 == 0 or v2 == 0:
         raise PreconditionError("2-sum requires nonzero glued columns")
+    if all(m.subset_rank([j for j in range(m.size) if j != i]) < m.rank
+           for m, i in ((m1, i1), (m2, i2))):
+        raise PreconditionError("a 2-sum cannot glue two coloops")
     glue = None
     if m1.lift is not None and m2.lift is not None:
         glue = [_glue_row(m1.lift.col(i1), m2.lift.col(i2))]

@@ -364,7 +364,7 @@ class CogirthResult:
 
 def _dual_support(v: int, cols: Sequence[int]) -> frozenset[int]:
     """The elements f_lambda(v) sums over: columns outside the kernel of v."""
-    return frozenset(i for i, c in enumerate(cols) if bin(v & c).count("1") & 1)
+    return frozenset(i for i, c in enumerate(cols) if (v & c).bit_count() & 1)
 
 
 def _min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tuple[Rat, int]:

@@ -151,17 +151,12 @@ def _cyclic_key(walk: Sequence[int]) -> tuple[int, ...]:
     return best if best is not None else ()
 
 
-def certificate_chi(g: MultiGraph, rot: RotationSystem) -> tuple[int, list[tuple[int, ...]]]:
-    faces = trace_faces(g, rot)
-    return g.n - g.m + len(faces), faces
-
-
 def verify_certificate(g: MultiGraph, cert: EmbeddingCertificate,
                        face_cycle: Cycle | None = None) -> bool:
     """Cheap re-verification: re-trace the stored rotation system and check
     the face list, Euler characteristic, and edge-side double counting."""
-    chi, faces = certificate_chi(g, cert.rotation)
-    if chi != cert.chi:
+    faces = trace_faces(g, cert.rotation)
+    if g.n - g.m + len(faces) != cert.chi:
         return False
     if sorted(faces, key=_cyclic_key) != sorted(cert.faces, key=_cyclic_key):
         return False
@@ -257,7 +252,8 @@ def embeds_in(g: MultiGraph, chi: int, orientable: bool,
     2-cell embedding with Euler characteristic >= chi; first hit in
     lexicographic order wins. With want_max, exhaust the space and return a
     certificate attaining the maximum characteristic if it is >= chi.
-    When face is given, the cycle must appear as a face boundary."""
+    When face is given, the cycle must appear as a face boundary, as the
+    extension arguments need that attach a new vertex inside that disc."""
     if not g.is_connected():
         raise DisconnectedGraphError("embedding search requires a connected graph")
     check_guard(_search_space(g, orientable), 10 ** 9, "embeds_in search space")
@@ -284,13 +280,6 @@ def embeds_in(g: MultiGraph, chi: int, orientable: bool,
         return None
     chi_best, rot = best
     return EmbeddingCertificate(rot, tuple(trace_faces(g, rot)), chi_best)
-
-
-def embeds_with_face(g: MultiGraph, chi: int, orientable: bool,
-                     c: Cycle) -> EmbeddingCertificate | None:
-    """Embedding certificate in which c bounds a face, enabling extension
-    arguments that attach a new vertex inside the disc."""
-    return embeds_in(g, chi, orientable, face=c)
 
 
 def embedding_systole_bound(b: int, chi: int) -> Fraction:

@@ -21,8 +21,7 @@ from regma.matroid import (WeightedRep, cographic, graphic, ksum_rep, r10,
 from regma.optimize import (S_TABLE, bound_large_girth,
                             bound_small_cycle, cogirth, systole,
                             verify_cogirth, verify_systole)
-from regma.surface import (embedding_systole_bound, embeds_in,
-                           embeds_with_face, verify_certificate)
+from regma.surface import embedding_systole_bound, embeds_in, verify_certificate
 
 from test_optimize import brute_force_systole
 
@@ -284,14 +283,14 @@ def test_criterion_8_embedding_certificates():
     hea = catalog("heawood")
     hexagon, _ = min_weight_cycle(hea, [Fraction(1)] * hea.m)
     assert len(hexagon) == 6
-    cert = embeds_with_face(hea, 0, True, hexagon)
+    cert = embeds_in(hea, 0, True, face=hexagon)
     assert cert is not None and verify_certificate(hea, cert, hexagon)
     done.append("heawood+hex")
     for cname in sorted(NAMED_CYCLE_MODES):
         g, c = named_cycle(cname)
         chi, orientable = NAMED_CYCLE_MODES[cname]
         tc = time.time()
-        cert = embeds_with_face(g, chi, orientable, c)
+        cert = embeds_in(g, chi, orientable, face=c)
         assert cert is not None, cname
         assert verify_certificate(g, cert, c), cname
         assert time.time() - tc < 120

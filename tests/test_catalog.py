@@ -7,7 +7,7 @@ from regma.catalog import NAMED_CYCLE_MODES, _check, catalog, named_cycle
 from regma.cubicgen import automorphisms, canonical_form
 from regma.errors import PreconditionError, VerificationError
 from regma.graph import betti, enumerate_cycles, girth, is_three_edge_connected
-from regma.surface import embeds_in, embeds_with_face
+from regma.surface import embeds_in
 
 
 def edge_orbit_sizes(g):
@@ -154,7 +154,7 @@ class TestNamedCycles:
     def test_pinned_embedding_exists(self, name):
         g, c = named_cycle(name)
         chi, orientable = NAMED_CYCLE_MODES[name]
-        cert = embeds_with_face(g, chi, orientable, c)
+        cert = embeds_in(g, chi, orientable, face=c)
         assert cert is not None and cert.chi >= chi
         want = sorted(c.edge_ids)
         assert any(sorted(d >> 1 for d in f) == want for f in cert.faces)
@@ -196,7 +196,7 @@ class TestDisjointTripleCover:
         for c in cycles:
             key = orbit_key(c)
             if key not in checked:
-                checked[key] = embeds_with_face(g, 0, False, c) is not None
+                checked[key] = embeds_in(g, 0, False, face=c) is not None
             if checked[key]:
                 pinnable.append(frozenset(c.edge_ids))
 

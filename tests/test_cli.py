@@ -127,6 +127,16 @@ class TestEmbed:
         rc, out, _ = run_cli("embed", "builtin:k4", "--chi", "-2", "--max-chi")
         assert rc == 0 and json.loads(out)["chi"] == 2
 
+    def test_max_chi_with_pinned_face(self):
+        # the first hit with the face is a torus embedding; --max-chi must
+        # still exhaust the space and find the plane
+        rc, out, err = run_cli("embed", "builtin:k4", "--chi", "-2",
+                               "--face", "0,1,3", "--max-chi")
+        assert rc == 0 and "chi = 2" in err
+        cert = json.loads(out)
+        assert cert["chi"] == 2
+        assert any(sorted(d >> 1 for d in f) == [0, 1, 3] for f in cert["faces"])
+
     def test_missing_file_exits_1(self):
         rc, _, err = run_cli("systole", "/nonexistent/graph.txt")
         assert rc == 1 and "error" in err
@@ -181,6 +191,14 @@ class TestOthers:
         assert text.startswith("3 6") and "LIFT" in text
         rc, out, _ = run_cli("cogirth", f"file:{mfile}")
         assert rc == 0 and json.loads(out)["value"] == "1/2"
+
+    def test_matroid_build_sum2_at_two_coloops(self, tmp_path):
+        path = tmp_path / "path"
+        path.write_text("3 2\n0 1\n1 2\n")
+        rc, out, err = run_cli("matroid-build",
+                               f"sum2(graphic({path})@e1, graphic({path})@e0)")
+        assert (rc, out) == (1, "")
+        assert err.splitlines() == ["error: a 2-sum cannot glue two coloops"]
 
     def test_matroid_build_free_dual(self):
         rc, out, _ = run_cli("matroid-build", "dual(graphic(builtin:k2))")

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import oracle_automorphisms
 import oracle_canonical
 from conftest import random_connected_multigraph
 from oracle_cubic import (all_labeled_cubic_graphs, is_connected_edges,
@@ -120,6 +121,22 @@ class TestAutomorphisms:
         aset = set(auts)
         a, b = auts[1], auts[2]
         assert tuple(a[b[v]] for v in range(10)) in aset
+
+    def test_oracle_on_cubic_graphs(self):
+        graphs = [g for n in range(4, 11, 2) for g in generate_cubic(n)]
+        assert len(graphs) == 27
+        for g in graphs:
+            assert automorphisms(g) == oracle_automorphisms.automorphisms(g)
+
+    def test_oracle_on_random_multigraphs(self, rng):
+        # loops, parallel edges, isolated vertices and several components;
+        # n = 0 has the one empty permutation
+        for _ in range(600):
+            n = rng.randint(0, 7)
+            m = rng.randint(0, 12) if n else 0
+            g = MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n))
+                                    for _ in range(m)))
+            assert automorphisms(g) == oracle_automorphisms.automorphisms(g), g
 
 
 class TestGenerate:

@@ -9,7 +9,8 @@ from regma.errors import (AcyclicGraphError, DisconnectedGraphError,
                           GuardExceeded, PreconditionError)
 from regma.graph import (Cycle, MultiGraph, _bridges, betti, edge_cut_below,
                          enumerate_cycles, girth, is_three_edge_connected,
-                         min_weight_cycle, reduce_to_cubic, split_vertex)
+                         min_cycles_per_edge, min_weight_cycle,
+                         reduce_to_cubic, split_vertex)
 
 THETA = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
 
@@ -84,6 +85,10 @@ class TestEdgeCut:
         with pytest.raises(DisconnectedGraphError):
             edge_cut_below(MultiGraph(2, ()), 3)
 
+    def test_cuts_of_three_or_more_rejected(self, k4):
+        with pytest.raises(PreconditionError):
+            edge_cut_below(k4, 4)
+
 
 def bridges_oracle(g, skip):
     """Edges outside skip whose removal splits a component of g - skip,
@@ -149,6 +154,34 @@ class TestMinWeightCycle:
                                if c2.weight(w) == best)
             assert c.sorted_ids() == best_sets[0]
 
+
+class TestMinCyclesPerEdge:
+    def test_matches_enumeration_on_random_graphs(self, rng):
+        # the per-edge minima feed the systole's separation, so every edge's
+        # value is checked, not only the global minimum, and each reported
+        # set must be a cycle through its edge of that weight. The set is
+        # not always the lexicographically least one: zero weights make
+        # ties between cycles of different lengths common, and the labels'
+        # sorted-tuple order is not kept when an edge is appended.
+        seen = {"loop": 0, "parallel": 0, "zero": 0}
+        for _ in range(150):
+            g = random_connected_multigraph(rng, max_edges=13)
+            w = [Fraction(rng.choice((0, 0, 1, 2, 3)), rng.randint(1, 3))
+                 for _ in range(g.m)]
+            want = {}
+            for c in enumerate_cycles(g):
+                for e in c.edge_ids:
+                    want[e] = min(want.get(e, c.weight(w)), c.weight(w))
+            got = min_cycles_per_edge(g, w)
+            assert {e: value for e, (value, _) in got.items()} == want
+            for e, (value, ids) in got.items():
+                c = Cycle.from_edges(g, ids)
+                assert e in c.edge_ids and c.weight(w) == value
+                assert c.sorted_ids() == ids
+            seen["loop"] += any(u == v for u, v in g.edges)
+            seen["parallel"] += len({tuple(sorted(e)) for e in g.edges}) < g.m
+            seen["zero"] += 0 in w
+        assert min(seen.values()) > 10
 
 class TestEnumerateCycles:
     def test_counts(self, k4, petersen):

@@ -230,6 +230,18 @@ class TestSums:
             sum2(graphic(MultiGraph(1, ((0, 0),))), "e0",
                  graphic(k4), "e0")  # zero column glue
 
+    def test_sum2_at_coloops(self):
+        # both edges of the path 0-1-2 are coloops: one glued coloop gives
+        # the free matroid of the three-edge path, two glued coloops would
+        # lose a rank
+        path = graphic(MultiGraph(3, ((0, 1), (1, 2))))
+        triangle = graphic(MultiGraph(3, ((0, 1), (1, 2), (0, 2))))
+        for s in (sum2(path, "e1", triangle, "e0"), sum2(triangle, "e0", path, "e1")):
+            assert (s.rank, s.size) == (3, 3) and circuits(s) == []
+            assert odd_determinant_check(s.lift).ok
+        with pytest.raises(PreconditionError, match="two coloops"):
+            sum2(path, "e1", path, "e0")
+
     def test_sum3_cographic_k33(self, k33):
         # stars of a vertex in each copy, glued; cographic of the vertex-
         # identified graph per the gluing description

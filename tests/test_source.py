@@ -15,3 +15,31 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _perfbench_constant(filename, name):
+    """The literal value of a module-level assignment in perfbench/."""
+    tree = ast.parse((SRC.parent.parent / "perfbench" / filename).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{name} not assigned in perfbench/{filename}")
+
+
+def test_benchmark_layers_exist():
+    # the traced benchmark wraps these functions by name, so removing or
+    # renaming one breaks it; each must stay a top-level def of its module
+    layers = set(_perfbench_constant("tracer.py", "LAYERS"))
+    for names in _perfbench_constant("run.py", "EXERCISED").values():
+        layers.update(names)
+    assert len(layers) > 10
+    missing = []
+    for name in sorted(layers):
+        module, function = name.split(".")
+        path = SRC / f"{module}.py"
+        defs = ({node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef)} if path.exists() else set())
+        if function not in defs:
+            missing.append(name)
+    assert missing == []

@@ -6,8 +6,8 @@ from regma.catalog import catalog
 from regma.errors import DisconnectedGraphError, PreconditionError
 from regma.graph import Cycle, MultiGraph, betti
 from regma.surface import (EmbeddingCertificate, RotationSystem,
-                           embedding_systole_bound, embeds_in,
-                           embeds_with_face, trace_faces, verify_certificate)
+                           embedding_systole_bound, embeds_in, trace_faces,
+                           verify_certificate)
 
 THETA = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
 
@@ -84,14 +84,14 @@ class TestEmbedsIn:
 class TestEmbedsWithFace:
     def test_k4_triangle_face(self, k4):
         c = Cycle.from_edges(k4, [0, 1, 3])  # (0,1),(0,2),(1,2)
-        cert = embeds_with_face(k4, 2, True, c)
+        cert = embeds_in(k4, 2, True, face=c)
         assert cert is not None
         assert any(sorted(d >> 1 for d in f) == [0, 1, 3] for f in cert.faces)
 
     def test_verify_demands_pinned_face(self, k4):
         c = Cycle.from_edges(k4, [0, 1, 3])
         other = Cycle.from_edges(k4, [0, 2, 4])  # (0,1),(0,3),(1,3)
-        cert = embeds_with_face(k4, 2, True, c)
+        cert = embeds_in(k4, 2, True, face=c)
         assert verify_certificate(k4, cert, c)
         assert verify_certificate(k4, cert, other)  # also a face of K4
 
