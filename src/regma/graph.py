@@ -6,8 +6,14 @@ list. Weights are nonnegative exact rationals, one per edge id.
 
 Minimum cycles come from one search, `min_cycles_per_edge`: a minimum-weight
 cycle through each edge, by a Dijkstra whose labels carry the sorted edge
-ids. `min_weight_cycle` is the least of them. Edge cuts below three edges are
-bridges, found by lowlink, of the graph with at most one edge removed.
+ids. `min_weight_cycle` is the least of them.
+
+The spanning tree enters through one table, `fundamental_cycles`. Edge cuts
+below three edges are read off it (Pritchard & Thurimella 2011): an edge is
+a bridge iff it lies on no fundamental cycle, and two edges of a bridgeless
+graph form a cut iff they lie on exactly the same fundamental cycles. The
+cographic matroid and the sign gauge of the embedding search use the same
+table.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (AcyclicGraphError, DisconnectedGraphError, InputError,
                      PreconditionError, VerificationError, check_guard)
@@ -104,7 +110,7 @@ class MultiGraph:
         rows = [ln.split() for ln in text.splitlines() if ln.strip()]
         try:
             n, m = map(int, rows[0] if rows else ())
-            edges = tuple((int(u), int(v)) for u, v in rows[1 : 1 + m])
+            edges = tuple((int(u), int(v)) for u, v in rows[1:])
         except ValueError as exc:
             raise InputError(f"malformed graph file: {exc}") from None
         if n < 0 or len(edges) != m:
@@ -184,16 +190,9 @@ def betti(g: MultiGraph) -> int:
 def girth(g: MultiGraph) -> int | float:
     """Length of a shortest simple cycle; loops count 1, parallel pairs 2;
     infinity for forests."""
-    if any(g.is_loop(e) for e in range(g.m)):
-        return 1
-    seen_pairs = set()
-    for u, v in g.edges:
-        key = (min(u, v), max(u, v))
-        if key in seen_pairs:
-            return 2
-        seen_pairs.add(key)
     best = INFINITY
-    # Shortest cycle through each edge: 1 + BFS distance avoiding the edge.
+    # Shortest cycle through each edge: 1 + BFS distance avoiding the edge;
+    # a loop's distance is 0 and a parallel copy's is 1.
     for e, (u, v) in enumerate(g.edges):
         dist = _bfs_dist(g, u, avoid_edge=e)
         if dist[v] is not None and dist[v] + 1 < best:
@@ -216,12 +215,12 @@ def _bfs_dist(g: MultiGraph, src: int, avoid_edge: int = -1) -> list[int | None]
     return dist
 
 
-def bfs_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
+def _bfs_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
     """Breadth-first spanning tree of the component of vertex 0, scanning
     each incidence list in order: parent[y] = (x, e) for every reached
     vertex y other than 0, where tree edge e joins y to x."""
     parent: dict[int, tuple[int, int]] = {}
-    queue = [0]
+    queue = [0] if g.n else []
     for x in queue:
         for e in g.incidence[x]:
             y = g.other_end(e, x)
@@ -231,68 +230,66 @@ def bfs_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
     return parent
 
 
-def _bridges(g: MultiGraph, skip: frozenset[int] = frozenset()) -> list[int]:
-    """Bridges of g with the given edges removed, via iterative lowlink.
-    Loops are ignored; only the tree edge itself is skipped by id, so a
-    parallel copy of it is a back edge and keeps it from being a bridge."""
-    visited = [False] * g.n
-    disc = [0] * g.n
-    low = [0] * g.n
-    timer = 0
+def fundamental_cycles(g: MultiGraph) -> list[tuple[tuple[int, int], ...]]:
+    """One cycle per edge outside the breadth-first tree of `_bfs_tree`, in
+    edge-id order, as (edge, sign) pairs: the non-tree edge f = (u, v) first
+    at +1, then the tree path from u to v, each edge at +1 where the path
+    runs from its first end to its second and -1 otherwise. A loop's cycle
+    is itself alone. Negating the tree edges orients the cycle along f."""
+    parent = _bfs_tree(g)
+    tree = {e for _, e in parent.values()}
+
+    def root_path(v: int) -> list[tuple[int, int]]:
+        path = []
+        while v in parent:
+            x, e = parent[v]
+            path.append((e, 1 if g.edges[e][1] == v else -1))
+            v = x
+        path.reverse()
+        return path
+
     out = []
-    for root in range(g.n):
-        if visited[root]:
+    for f in range(g.m):
+        if f in tree:
             continue
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(g.incidence[root]))]
-        visited[root] = True
-        disc[root] = low[root] = timer = timer + 1
-        while stack:
-            x, via, it = stack[-1]
-            advanced = False
-            for e in it:
-                if e in skip or e == via or g.is_loop(e):
-                    continue
-                y = g.other_end(e, x)
-                if not visited[y]:
-                    visited[y] = True
-                    timer += 1
-                    disc[y] = low[y] = timer
-                    stack.append((y, e, iter(g.incidence[y])))
-                    advanced = True
-                    break
-                low[x] = min(low[x], disc[y])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    px, pvia, _ = stack[-1]
-                    low[px] = min(low[px], low[x])
-                    if low[x] > disc[px]:
-                        out.append(via)
-    return sorted(out)
+        u, v = g.edges[f]
+        cycle = [(f, 1)]
+        if u != v:
+            pu, pv = root_path(u), root_path(v)
+            i = 0
+            while i < len(pu) and i < len(pv) and pu[i] == pv[i]:
+                i += 1
+            cycle += [(e, -s) for e, s in reversed(pu[i:])]
+            cycle += pv[i:]
+        out.append(tuple(cycle))
+    return out
 
 
 def edge_cut_below(g: MultiGraph, k: int) -> tuple[int, ...] | None:
     """Smallest disconnecting edge set of size < k if one exists, else None;
-    ties broken lexicographically. Requires g connected and k <= 3: a bridge
-    by lowlink, else a bridge of g minus one edge."""
+    ties broken lexicographically. Requires g connected and k <= 3. The cut
+    space is the orthogonal complement of the cycle space, so with mask[e]
+    the set of fundamental cycles through e, the bridges are the edges of
+    mask 0 and, when there are none, the 2-edge cuts are the pairs of equal
+    masks."""
     if k > 3:
         raise PreconditionError("edge_cut_below finds cuts of size 1 or 2 only (k <= 3)")
     if not g.is_connected():
         raise DisconnectedGraphError("edge_cut_below requires a connected graph")
     if g.n <= 1 or k <= 1:
         return None
-    br = _bridges(g)
-    if br:
-        return (br[0],)
+    mask = [0] * g.m
+    for i, cycle in enumerate(fundamental_cycles(g)):
+        for e, _ in cycle:
+            mask[e] |= 1 << i
+    if 0 in mask:
+        return (mask.index(0),)
     if k <= 2:
         return None
-    for e in range(g.m):
-        if g.is_loop(e):
-            continue
-        br = _bridges(g, skip=frozenset([e]))
-        if br:
-            return (e, br[0]) if e < br[0] else (br[0], e)
-    return None
+    classes: dict[int, list[int]] = {}
+    for e, x in enumerate(mask):
+        classes.setdefault(x, []).append(e)
+    return min(((c[0], c[1]) for c in classes.values() if len(c) > 1), default=None)
 
 
 def is_three_edge_connected(g: MultiGraph) -> bool:
@@ -466,17 +463,11 @@ def reduce_to_cubic(g: MultiGraph) -> tuple[MultiGraph, tuple[ReductionStep, ...
             cur = MultiGraph(cur.n, cur.edges + ((u, v),))
             trace.append(ReductionStep("join_components", (u, v), cur))
             continue
-        br = _bridges(cur)
-        if br:
-            e = br[0]
-            cur = _contract(cur, e)
-            trace.append(ReductionStep("contract_bridge", (e,), cur))
-            continue
         cut = edge_cut_below(cur, 3)
         if cut is not None:
-            e1, e2 = cut
-            cur = _contract(cur, e1)
-            trace.append(ReductionStep("contract_two_cut", (e1, e2), cur))
+            cur = _contract(cur, cut[0])
+            kind = "contract_bridge" if len(cut) == 1 else "contract_two_cut"
+            trace.append(ReductionStep(kind, cut, cur))
             continue
         high = next((v for v in range(cur.n) if cur.degree(v) >= 4), None)
         if high is not None:

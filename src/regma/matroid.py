@@ -28,7 +28,7 @@ from .errors import (DisconnectedGraphError, PreconditionError,
 from .exact import (BitMatrix, IntMatrix, Rat, det, f2_rank_words,
                     kernel_lattice_basis, odd_determinant_check, rank_f2,
                     rank_q)
-from .graph import MultiGraph, bfs_tree
+from .graph import MultiGraph, fundamental_cycles
 
 ODD_CHECK_BUDGET = 300_000  # subsets; above this WeightedRep skips the odd-determinant check
 
@@ -119,48 +119,19 @@ def graphic(g: MultiGraph, root: int = 0) -> BinaryMatroid:
 def cographic(g: MultiGraph) -> BinaryMatroid:
     """Cographic matroid: rank betti(g); column e is the class of e* in the
     first cohomology, written in the basis dual to the fundamental cycles of
-    a spanning tree. Circuits are the minimal edge cuts of g."""
+    a spanning tree. Circuits are the minimal edge cuts of g. Row i is the
+    i-th of `fundamental_cycles`, so the tree columns carry the opposite
+    sign to the cycle oriented along its non-tree edge."""
     if not g.is_connected():
         raise DisconnectedGraphError("cographic() requires a connected graph")
-    parent = bfs_tree(g)
-    tree = {e for _, e in parent.values()}
-    non_tree = [e for e in range(g.m) if e not in tree]
     rows = []
-    for f in non_tree:
-        u, v = g.edges[f]
+    for cycle in fundamental_cycles(g):
         coeff = [0] * g.m
-        coeff[f] = 1
-        if u != v:
-            # Tree path v -> u, oriented so the cycle is f followed by it.
-            pu, pv = _tree_path(g, parent, u), _tree_path(g, parent, v)
-            for e, s in _path_difference(pu, pv):
-                coeff[e] = s
+        for e, s in cycle:
+            coeff[e] = s
         rows.append(coeff)
     lift = IntMatrix.from_rows(rows) if rows else IntMatrix(0, g.m, ())
-    mat = BinaryMatroid(_edge_labels(g), lift.mod2(), lift, ("cographic", g))
-    return mat
-
-
-def _tree_path(g: MultiGraph, parent: dict[int, tuple[int, int]], v: int):
-    """Edges (with orientation signs) from the tree root down to v."""
-    path = []
-    while v in parent:
-        x, e = parent[v]
-        u, w = g.edges[e]
-        path.append((e, 1 if w == v else -1))
-        v = x
-    path.reverse()
-    return path
-
-
-def _path_difference(pu, pv):
-    """Signed edges of the tree path u -> v given root paths to u and v."""
-    i = 0
-    while i < len(pu) and i < len(pv) and pu[i] == pv[i]:
-        i += 1
-    steps = [(e, -s) for e, s in reversed(pu[i:])]
-    steps += [(e, s) for e, s in pv[i:]]
-    return steps
+    return BinaryMatroid(_edge_labels(g), lift.mod2(), lift, ("cographic", g))
 
 
 R10_ROWS = (

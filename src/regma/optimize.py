@@ -24,7 +24,7 @@ from .errors import (AcyclicGraphError, PreconditionError, VerificationError,
                      check_guard)
 from .exact import Rat
 from .graph import (Cycle, EdgeWeights, MultiGraph, betti, check_weights,
-                    girth, min_cycles_per_edge, min_weight_cycle)
+                    min_cycles_per_edge, min_weight_cycle)
 from .matroid import BinaryMatroid, WeightedRep
 
 ZERO = Fraction(0)
@@ -305,7 +305,7 @@ def systole(g: MultiGraph) -> SystoleResult:
     """Exact sys(G) = max over probability edge weights of the minimum cycle
     weight, via cutting planes with min_weight_cycle as separation oracle
     (all violated per-edge minimum cycles join the active set each round)."""
-    if girth(g) == float("inf"):
+    if betti(g) == 0:
         raise AcyclicGraphError("systole of a forest")
 
     def separate(lam):
@@ -343,7 +343,7 @@ def systole_weighted(g: MultiGraph, w: Sequence[Rat]) -> tuple[Rat, Cycle]:
     total = sum(w, ZERO)
     if total == 0:
         raise PreconditionError("total weight must be positive")
-    if girth(g) == float("inf"):
+    if betti(g) == 0:
         raise AcyclicGraphError("weighted systole of a forest")
     c, v = min_weight_cycle(g, w)
     return v / total, c

@@ -64,11 +64,13 @@ def parse_matroid(text: str) -> BinaryMatroid:
         rest = lines[1 + d :]
         lrows = None
         if rest and rest[0] == "LIFT":
-            lrows = [[int(x) for x in ln.split()] for ln in rest[1 : 1 + d]]
+            lrows = [[int(x) for x in ln.split()] for ln in rest[1:]]
     except ValueError as exc:
         raise InputError(f"malformed matroid file: {exc}") from None
     if min(d, n) < 0 or len(rows) != d or any(len(r) != n or set(r) - {0, 1} for r in rows):
         raise InputError("bad bit row in matroid file")
+    if rest and lrows is None:
+        raise InputError(f"matroid file has {len(rest)} lines after its {d} bit rows")
     if lrows is not None and (len(lrows) != d or any(len(r) != n for r in lrows)):
         raise InputError("bad LIFT row in matroid file")
     rep = BitMatrix.from_rows(rows) if d else BitMatrix(0, n, ())

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 from .errors import (DisconnectedGraphError, PreconditionError,
                      VerificationError, check_guard)
-from .graph import Cycle, MultiGraph, betti, bfs_tree
+from .graph import Cycle, MultiGraph, betti, fundamental_cycles
 
 
 @dataclass(frozen=True)
@@ -203,12 +203,12 @@ def _rotation_candidates(g: MultiGraph) -> Iterator[tuple[tuple[int, ...], ...]]
 
 
 def _sign_candidates(g: MultiGraph, orientable: bool) -> Iterator[tuple[int, ...]]:
-    """Sign vectors, gauge-fixed to +1 on a spanning tree; all +1 first."""
+    """Sign vectors, gauge-fixed to +1 on a spanning tree; all +1 first.
+    The free edges are those outside the tree, one per fundamental cycle."""
     if orientable:
         yield (1,) * g.m
         return
-    tree = {e for _, e in bfs_tree(g).values()}
-    free = [e for e in range(g.m) if e not in tree]
+    free = [cycle[0][0] for cycle in fundamental_cycles(g)]
     for bits in product((1, -1), repeat=len(free)):
         signs = [1] * g.m
         for e, s in zip(free, bits):

@@ -211,6 +211,12 @@ class TestOthers:
         assert data["ok"] and all(i["status"] == "ok" for i in data["items"])
         assert "[ok]" in err
 
+    def test_verify_tables_rank_below_one(self):
+        # a range that checks nothing is refused, not reported as ok
+        rc, out, err = run_cli("verify-tables", "--max-b", "0")
+        assert (rc, out) == (1, "")
+        assert err.splitlines() == ["error: tables are established for ranks 1 to 9"]
+
     def test_usage_error_exit_2(self):
         rc, _, _ = run_cli("systole")
         assert rc == 2
@@ -249,6 +255,15 @@ class TestMalformedInput:
         rc, _, err = run_cli("systole", str(gfile))
         assert rc == 2
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_graph_file_with_extra_edge_line(self, tmp_path):
+        # the third edge must not be dropped, leaving a forest
+        gfile = tmp_path / "g"
+        gfile.write_text("3 2\n0 1\n1 2\n2 0\n")
+        rc, out, err = run_cli("systole", str(gfile))
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == ["error: malformed graph file: header '3 2' "
+                                    "with 3 edge lines"]
 
     def test_deeply_nested_expression(self):
         rc, _, err = run_cli("cogirth", "dual(" * 1200 + "r10" + ")" * 1200)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +8,10 @@ from conftest import random_connected_multigraph
 from regma.catalog import catalog
 from regma.errors import (AcyclicGraphError, DisconnectedGraphError,
                           GuardExceeded, PreconditionError)
-from regma.graph import (Cycle, MultiGraph, _bridges, betti, edge_cut_below,
-                         enumerate_cycles, girth, is_three_edge_connected,
-                         min_cycles_per_edge, min_weight_cycle,
-                         reduce_to_cubic, split_vertex)
+from regma.graph import (Cycle, MultiGraph, betti, edge_cut_below,
+                         enumerate_cycles, fundamental_cycles, girth,
+                         is_three_edge_connected, min_cycles_per_edge,
+                         min_weight_cycle, reduce_to_cubic, split_vertex)
 
 THETA = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
 
@@ -90,34 +91,65 @@ class TestEdgeCut:
             edge_cut_below(k4, 4)
 
 
-def bridges_oracle(g, skip):
-    """Edges outside skip whose removal splits a component of g - skip,
-    counted by networkx."""
+def nx_components(g, removed):
+    """Connected components of g minus the removed edge ids, by networkx."""
     import networkx as nx
 
-    def components(removed):
-        h = nx.MultiGraph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges[e] for e in range(g.m) if e not in removed)
-        return nx.number_connected_components(h)
-
-    base = components(skip)
-    return [e for e in range(g.m) if e not in skip and components(skip | {e}) > base]
+    h = nx.MultiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges[e] for e in range(g.m) if e not in removed)
+    return nx.number_connected_components(h)
 
 
-class TestBridges:
-    def test_random_multigraphs_against_networkx(self, rng):
-        # dense enough in loops and parallel edges that parallel tree edges
-        # and bridges with a loop at an end both occur
-        for _ in range(200):
-            n = rng.randint(1, 7)
-            g = MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n))
-                                    for _ in range(rng.randint(0, 12))))
-            skips = [frozenset(), *(frozenset({e}) for e in range(g.m))]
-            if g.m >= 2:
-                skips.append(frozenset(rng.sample(range(g.m), 2)))
-            for skip in skips:
-                assert _bridges(g, skip) == bridges_oracle(g, skip), (g, skip)
+def random_multigraph(rng):
+    """Connected, with loops and parallel edges frequent: a random spanning
+    tree plus random extra edges, ids shuffled."""
+    n = rng.randint(1, 8)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 7))]
+    rng.shuffle(edges)
+    return MultiGraph(n, tuple(edges))
+
+
+class TestEdgeCutOracles:
+    def test_bridges_against_networkx(self, rng):
+        seen = {"bridge": 0, "none": 0, "loop": 0, "parallel": 0}
+        for _ in range(300):
+            g = random_multigraph(rng)
+            bridges = [e for e in range(g.m) if nx_components(g, {e}) > 1]
+            want = (bridges[0],) if bridges else None
+            assert edge_cut_below(g, 2) == want, g
+            seen["bridge" if want else "none"] += 1
+            seen["loop"] += any(u == v for u, v in g.edges)
+            seen["parallel"] += len({tuple(sorted(e)) for e in g.edges}) < g.m
+        assert min(seen.values()) > 20
+
+    def test_least_two_cut_by_deleting_pairs(self, rng):
+        seen = {"bridge": 0, "pair": 0, "none": 0}
+        for _ in range(300):
+            g = random_multigraph(rng)
+            cuts = [c for k in (1, 2) for c in combinations(range(g.m), k)
+                    if nx_components(g, set(c)) > 1]
+            want = min(cuts, key=lambda c: (len(c), c), default=None)
+            assert edge_cut_below(g, 3) == want, g
+            seen["none" if want is None else "bridge" if len(want) == 1 else "pair"] += 1
+        assert min(seen.values()) > 20
+
+    def test_one_cycle_per_non_tree_edge(self, rng):
+        # the table's cycles are F2-independent cycles: one per edge outside
+        # the tree, each containing that edge and no other non-tree edge
+        for _ in range(100):
+            g = random_multigraph(rng)
+            cycles = fundamental_cycles(g)
+            firsts = [c[0] for c in cycles]
+            assert len(cycles) == betti(g)
+            assert [s for _, s in firsts] == [1] * len(cycles)
+            assert [e for e, _ in firsts] == sorted(e for e, _ in firsts)
+            non_tree = {e for e, _ in firsts}
+            for c in cycles:
+                ids = [e for e, _ in c]
+                assert len(set(ids)) == len(ids)
+                assert Cycle.from_edges(g, ids).edge_ids & non_tree == {ids[0]}
 
 
 class TestMinWeightCycle:
@@ -214,6 +246,19 @@ class TestReduceToCubic:
         red, trace = reduce_to_cubic(sub)
         assert red.n == 4 and red.m == 6
         assert any(s.kind == "contract_two_cut" for s in trace)
+
+    def test_pinned_trace_with_bridge_and_two_cut(self):
+        # K4 on 0..3 with edge 0-1 subdivided by 4, and a bridge 2-5 to a loop
+        g = MultiGraph(6, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4),
+                           (4, 1), (2, 5), (5, 5)))
+        red, trace = reduce_to_cubic(g)
+        assert [(s.kind, s.data) for s in trace] == [
+            ("contract_bridge", (7,)), ("contract_two_cut", (5, 6)),
+            ("split_vertex", (2,)), ("split_vertex", (2,))]
+        assert trace[1].result.edges == ((0, 2), (0, 3), (1, 2), (1, 3),
+                                         (2, 3), (0, 1), (2, 2))
+        assert red.edges == ((0, 4), (0, 3), (1, 5), (1, 3), (2, 3), (0, 1),
+                             (4, 5), (2, 4), (2, 5))
 
     def test_two_triangles(self):
         tri = MultiGraph(3, ((0, 1), (1, 2), (0, 2)))

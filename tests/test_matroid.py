@@ -81,6 +81,18 @@ class TestCographic:
         m = cographic(MultiGraph(3, ((0, 1), (1, 2))))
         assert m.rank == 0
 
+    def test_empty_graph(self):
+        m = cographic(MultiGraph(0, ()))
+        assert (m.rank, m.size) == (0, 0)
+
+    def test_k4_lift_pinned(self, k4):
+        # k4 = 01 02 03 12 13 23; breadth-first tree 01 02 03 from vertex 0,
+        # rows for 12, 13, 23 with each tree path signed as it runs
+        assert k4.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+        lift = cographic(k4).lift
+        assert [lift.row(i) for i in range(lift.rows)] == [
+            (-1, 1, 0, 1, 0, 0), (-1, 0, 1, 0, 1, 0), (0, -1, 1, 0, 0, 1)]
+
     def test_petersen_cut_sizes(self, petersen):
         assert all(len(c) >= 3 for c in circuits(cographic(petersen)))
 

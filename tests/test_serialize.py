@@ -26,6 +26,26 @@ class TestMatroidFiles:
         with pytest.raises(PreconditionError):
             parse_matroid("1 3\n10\n")
 
+    def test_extra_bit_row_rejected(self):
+        with pytest.raises(InputError, match="1 lines after its 2 bit rows"):
+            parse_matroid("2 3\n110\n011\n101\n")
+
+    def test_line_after_lift_rows_rejected(self):
+        text = format_matroid(graphic(catalog("k3")))
+        assert parse_matroid(text + "\n\n").lift is not None
+        with pytest.raises(InputError):
+            parse_matroid(text + "\n1 0 1\n")
+
+
+class TestGraphFiles:
+    def test_extra_edge_line_rejected(self):
+        with pytest.raises(InputError, match="header '3 2' with 3 edge lines"):
+            MultiGraph.parse("3 2\n0 1\n1 2\n2 0\n")
+
+    def test_blank_lines_ignored(self):
+        g = MultiGraph.parse("\n3 2\n\n0 1\n1 2\n\n")
+        assert g.edges == ((0, 1), (1, 2))
+
 
 class TestExpressions:
     def test_nested(self):

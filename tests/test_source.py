@@ -43,3 +43,25 @@ def test_benchmark_layers_exist():
         if function not in defs:
             missing.append(name)
     assert missing == []
+
+
+def test_private_functions_have_callers():
+    # a private helper whose last caller went is dead code; a use inside its
+    # own body (recursion) does not count
+    own: dict[str, set[str]] = {}
+    used_by: dict[str, set[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.relative_to(SRC)}:{getattr(node, 'name', '')}"
+            if isinstance(node, ast.FunctionDef) and node.name[:1] == "_" \
+                    and node.name[:2] != "__":
+                own.setdefault(node.name, set()).add(where)
+            for sub in ast.walk(node):
+                # ast.Name carries an id, ast.Attribute an attr
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if name is not None:
+                    used_by.setdefault(name, set()).add(where)
+    assert len(own) > 10
+    unused = sorted(name for name, defs in own.items()
+                    if not used_by.get(name, set()) - defs)
+    assert unused == []

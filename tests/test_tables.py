@@ -28,8 +28,11 @@ class TestVerifyTables:
             [i["computed"] for i in b["items"]]
 
     def test_max_rank_guard(self):
+        for max_rank in (10, 0, -3):
+            with pytest.raises(PreconditionError):
+                verify_tables(max_rank)
         with pytest.raises(PreconditionError):
-            verify_tables(10)
+            verify_tables(-3, exhaustive=True)
 
 
 class TestGuardOverride:
