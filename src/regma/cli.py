@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import InputError, RegmaError
+from .errors import InputError, PreconditionError, RegmaError
 from .exact import format_rat, parse_rat
 from .graph import Cycle, betti, reduce_to_cubic
 from .involutions import InvolutionSet, six_involutions, verify_involutions
@@ -159,7 +159,10 @@ def _cmd_embed(args) -> int:
         ids = args.face.split(",")
         if not all(x.strip().isdecimal() and int(x) < g.m for x in ids):
             raise InputError(f"--face needs edge ids below {g.m}, got {args.face!r}")
-        face = Cycle.from_edges(g, [int(x) for x in ids])
+        try:
+            face = Cycle.from_edges(g, [int(x) for x in ids])
+        except PreconditionError as exc:
+            raise InputError(f"--face {args.face!r}: {exc}") from None
     if args.check:
         cert = _load_certificate(args.check, EmbeddingCertificate.from_json)
         ok = verify_certificate(g, cert, face)

@@ -3,20 +3,23 @@
 Darts: edge e has two ends 2e and 2e+1; twin(d) = d ^ 1. A rotation system
 is a cyclic order of darts at each vertex plus a sign per edge (+1/-1, all
 +1 in orientable mode; signs are gauge-fixed to +1 on a spanning tree in the
-nonorientable search). Faces are traced on states (dart, side); orbits come
-in reversal pairs, so the face count is half the orbit count.
+nonorientable search). Faces are traced on states (dart, side). Each face
+is one pair of opposite orbits, a walk and its reversal, so one walker marks
+every state it visits together with its reversal state and meets each face
+exactly once; the search counts those walks and `trace_faces` writes them
+out.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Iterator, Sequence
 
-from .errors import (DisconnectedGraphError, PreconditionError,
-                     VerificationError, check_guard)
+from .errors import DisconnectedGraphError, PreconditionError, check_guard
 from .graph import Cycle, MultiGraph, betti, fundamental_cycles
 
 
@@ -82,11 +85,11 @@ class EmbeddingCertificate:
         return EmbeddingCertificate(RotationSystem(rotations, signs), faces, chi)
 
 
-def _dart_tables(g: MultiGraph, rot: RotationSystem):
+def _dart_tables(m: int, rotations: Sequence[Sequence[int]]):
     """next/prev dart in the cyclic order at each dart's own vertex."""
-    nxt = [0] * (2 * g.m)
-    prv = [0] * (2 * g.m)
-    for order in rot.rotations:
+    nxt = [0] * (2 * m)
+    prv = [0] * (2 * m)
+    for order in rotations:
         k = len(order)
         for i, d in enumerate(order):
             nxt[d] = order[(i + 1) % k]
@@ -94,48 +97,46 @@ def _dart_tables(g: MultiGraph, rot: RotationSystem):
     return nxt, prv
 
 
-def trace_faces(g: MultiGraph, rot: RotationSystem) -> list[tuple[int, ...]]:
-    """Boundary walks (dart sequences) of the 2-cell embedding given by rot.
+def _face_walks(m: int, nxt, prv, signs) -> list[list[int]]:
+    """One dart walk per face, in the order of its least state.
 
-    States are (dart, side); the successor crosses to the twin, flips the
-    side on negative edges, and turns by the rotation (forward on side 0,
-    backward on side 1). Orbits pair up as walk reversals; one walk per pair
-    is returned, each orbit pair giving one face.
+    States are (dart, side), numbered 2 * dart + side; the successor crosses
+    to the twin, flips the side on negative edges, and turns by the rotation
+    (forward on side 0, backward on side 1). The reversed walk passes state
+    (d ^ 1, side ^ 1 ^ [edge d >> 1 negative]), so marking that state too
+    leaves one orbit of each face's pair to be walked. A graph without edges
+    has one face, bounded by the empty walk.
     """
-    rot.validate(g)
-    nxt, prv = _dart_tables(g, rot)
-    signs = rot.signs
-    total = 4 * g.m
-    seen = [False] * total
-    orbits: list[list[int]] = []
+    total = 4 * m
+    seen = bytearray(total)
+    walks: list[list[int]] = []
     for s0 in range(total):
         if seen[s0]:
             continue
         walk = []
         s = s0
         while not seen[s]:
-            seen[s] = True
-            d, side = divmod(s, 2)
-            walk.append(d)
+            d, side = s >> 1, s & 1
             t = d ^ 1
-            nside = side ^ (signs[d >> 1] < 0)
-            s = ((nxt[t] if nside == 0 else prv[t]) << 1) | nside
-        orbits.append(walk)
-    if len(orbits) % 2:
-        raise VerificationError("face orbits must pair into walk reversals")
-    # Pair each orbit with its reversal (twin darts in reverse order).
-    keyed: dict[tuple[int, ...], list[int]] = {}
-    for i, walk in enumerate(orbits):
-        keyed.setdefault(_cyclic_key(walk), []).append(i)
-    taken = [False] * len(orbits)
-    faces: list[tuple[int, ...]] = []
-    for i, walk in enumerate(orbits):
-        if taken[i]:
-            continue
-        taken[i] = True
+            flip = signs[d >> 1] < 0
+            seen[s] = 1
+            seen[(t << 1) | (side ^ 1 ^ flip)] = 1
+            walk.append(d)
+            side ^= flip
+            s = ((prv[t] if side else nxt[t]) << 1) | side
+        walks.append(walk)
+    return walks or [[]]
+
+
+def trace_faces(g: MultiGraph, rot: RotationSystem) -> list[tuple[int, ...]]:
+    """Boundary walks (dart sequences) of the 2-cell embedding given by rot:
+    per face, the lesser of its walk and the reversal by `_cyclic_key`."""
+    if g.n == 0:
+        raise PreconditionError("an embedding needs at least one vertex")
+    rot.validate(g)
+    faces = []
+    for walk in _face_walks(g.m, *_dart_tables(g.m, rot.rotations), rot.signs):
         rev = [d ^ 1 for d in reversed(walk)]
-        j = next(k for k in keyed.get(_cyclic_key(rev), ()) if not taken[k])
-        taken[j] = True
         faces.append(tuple(min(walk, rev, key=_cyclic_key)))
     return sorted(faces, key=_cyclic_key)
 
@@ -154,14 +155,18 @@ def _cyclic_key(walk: Sequence[int]) -> tuple[int, ...]:
 def verify_certificate(g: MultiGraph, cert: EmbeddingCertificate,
                        face_cycle: Cycle | None = None) -> bool:
     """Cheap re-verification: re-trace the stored rotation system and check
-    the face list, Euler characteristic, and edge-side double counting."""
-    faces = trace_faces(g, cert.rotation)
+    the face list, Euler characteristic, and edge-side double counting. A
+    rotation system that does not fit g fails."""
+    try:
+        faces = trace_faces(g, cert.rotation)
+    except PreconditionError:
+        return False
     if g.n - g.m + len(faces) != cert.chi:
         return False
-    if sorted(faces, key=_cyclic_key) != sorted(cert.faces, key=_cyclic_key):
+    if faces != sorted(cert.faces, key=_cyclic_key):
         return False
-    if sum(len(f) for f in faces) != 2 * g.m:
-        return False
+    # The search counts faces with the same walker, so this count is the
+    # checker's own guard against a fault in it.
     per_edge = [0] * g.m
     for f in faces:
         for d in f:
@@ -184,8 +189,6 @@ def _has_face(faces: Sequence[tuple[int, ...]], c: Cycle) -> bool:
 def _rotation_candidates(g: MultiGraph) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All rotation systems, lexicographic: the first dart at each vertex is
     pinned (cyclic order), remaining darts permuted."""
-    from itertools import permutations
-
     darts_at = [[] for _ in range(g.n)]
     for e, (u, v) in enumerate(g.edges):
         darts_at[u].append(2 * e)
@@ -217,32 +220,12 @@ def _sign_candidates(g: MultiGraph, orientable: bool) -> Iterator[tuple[int, ...
 
 
 def _search_space(g: MultiGraph, orientable: bool) -> int:
-    import math
-
     size = 1
     for v in range(g.n):
         size *= math.factorial(max(g.degree(v) - 1, 0))
     if not orientable:
         size <<= betti(g)
     return size
-
-
-def _fast_face_count(g: MultiGraph, nxt, prv, signs) -> int:
-    total = 4 * g.m
-    seen = bytearray(total)
-    orbits = 0
-    for s0 in range(total):
-        if seen[s0]:
-            continue
-        orbits += 1
-        s = s0
-        while not seen[s]:
-            seen[s] = True
-            d, side = divmod(s, 2)
-            t = d ^ 1
-            nside = side ^ (signs[d >> 1] < 0)
-            s = ((nxt[t] if nside == 0 else prv[t]) << 1) | nside
-    return orbits // 2
 
 
 def embeds_in(g: MultiGraph, chi: int, orientable: bool,
@@ -254,17 +237,17 @@ def embeds_in(g: MultiGraph, chi: int, orientable: bool,
     certificate attaining the maximum characteristic if it is >= chi.
     When face is given, the cycle must appear as a face boundary, as the
     extension arguments need that attach a new vertex inside that disc."""
+    if g.n == 0:
+        raise PreconditionError("an embedding needs at least one vertex")
     if not g.is_connected():
         raise DisconnectedGraphError("embedding search requires a connected graph")
     check_guard(_search_space(g, orientable), 10 ** 9, "embeds_in search space")
     best: tuple[int, RotationSystem] | None = None
     sign_list = list(_sign_candidates(g, orientable))
     for rotations in _rotation_candidates(g):
-        rot0 = RotationSystem(rotations, (1,) * g.m)
-        nxt, prv = _dart_tables(g, rot0)
+        nxt, prv = _dart_tables(g.m, rotations)
         for signs in sign_list:
-            nfaces = _fast_face_count(g, nxt, prv, signs)
-            got = g.n - g.m + nfaces
+            got = g.n - g.m + len(_face_walks(g.m, nxt, prv, signs))
             if got < chi:
                 continue
             rot = RotationSystem(rotations, signs)

@@ -137,6 +137,23 @@ class TestEmbed:
         assert cert["chi"] == 2
         assert any(sorted(d >> 1 for d in f) == [0, 1, 3] for f in cert["faces"])
 
+    def test_face_not_a_cycle_exits_2(self):
+        rc, out, err = run_cli("embed", "builtin:k4", "--chi", "2",
+                               "--face", "0,1")
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_check_rotation_at_wrong_vertex_fails(self, tmp_path):
+        rc, out, _ = run_cli("embed", "builtin:k4", "--chi", "2")
+        assert rc == 0
+        cert = json.loads(out)
+        cert["rotations"][1] = cert["rotations"][0]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert), encoding="utf-8")
+        rc, _, err = run_cli("embed", "builtin:k4", "--chi", "2",
+                             "--check", str(path))
+        assert rc == 1 and err.strip() == "certificate FAILED"
+
     def test_missing_file_exits_1(self):
         rc, _, err = run_cli("systole", "/nonexistent/graph.txt")
         assert rc == 1 and "error" in err
@@ -296,7 +313,7 @@ class TestInProcessMain:
 # Certificate-shaped JSON: the fields the loaders read, holding values of
 # the right and the wrong kinds, nested at random.
 _FIELDS = ["value", "weights", "tight_cycles", "dual", "witness", "vectors",
-           "counts"]
+           "counts", "chi", "rotations", "signs", "faces"]
 _leaf = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 70), st.floats(),
     st.sampled_from(["0", "1", "1/3", "-1/2", "1/0", "x", "", "010",
@@ -321,6 +338,7 @@ def cert_path(tmp_path_factory):
     ["systole", "builtin:k4"],
     ["cogirth", "graphic(builtin:k4)"],
     ["involutions6", "cographic(builtin:k4)"],
+    ["embed", "builtin:k4", "--chi", "2"],
 ])
 @given(text=_certificate_text)
 @settings(max_examples=100, deadline=None)

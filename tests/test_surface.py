@@ -1,11 +1,16 @@
+import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
+import oracle_faces
 from regma.catalog import catalog
+from regma.cubicgen import generate_cubic
 from regma.errors import DisconnectedGraphError, PreconditionError
 from regma.graph import Cycle, MultiGraph, betti
-from regma.surface import (EmbeddingCertificate, RotationSystem,
+from regma.surface import (EmbeddingCertificate, RotationSystem, _dart_tables,
+                           _face_walks, _rotation_candidates, _sign_candidates,
                            embedding_systole_bound, embeds_in, trace_faces,
                            verify_certificate)
 
@@ -48,6 +53,50 @@ class TestTraceFaces:
         assert 1 - 1 + 1 == 1  # chi of RP2
 
 
+def search_face_count(g, rot):
+    """The face count embeds_in scores a candidate by."""
+    nxt, prv = _dart_tables(g.m, rot.rotations)
+    return len(_face_walks(g.m, nxt, prv, rot.signs))
+
+
+def random_signed_rotation(rng):
+    """A multigraph on at most 6 vertices with 1..9 edges, loops, parallel
+    edges and isolated vertices allowed (so possibly disconnected), and a
+    random rotation system with random signs."""
+    n = rng.randint(1, 6)
+    g = MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n))
+                            for _ in range(rng.randint(1, 9))))
+    darts_at = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(g.edges):
+        darts_at[u].append(2 * e)
+        darts_at[v].append(2 * e + 1)
+    for ds in darts_at:
+        rng.shuffle(ds)
+    signs = tuple(rng.choice((1, -1)) for _ in range(g.m))
+    return g, RotationSystem(tuple(map(tuple, darts_at)), signs)
+
+
+class TestFaceOracle:
+    def test_random_signed_rotation_systems(self):
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            g, rot = random_signed_rotation(rng)
+            want = oracle_faces.trace_faces(g, rot)
+            assert trace_faces(g, rot) == want, (g, rot)
+            assert search_face_count(g, rot) == len(want)
+
+    @pytest.mark.parametrize("name", ["k4", "k33"])
+    def test_every_search_candidate(self, name):
+        # every rotation system times every gauge-fixed sign vector
+        g = catalog(name)
+        for rotations in _rotation_candidates(g):
+            for signs in _sign_candidates(g, False):
+                rot = RotationSystem(rotations, signs)
+                want = oracle_faces.trace_faces(g, rot)
+                assert trace_faces(g, rot) == want
+                assert search_face_count(g, rot) == len(want)
+
+
 class TestEmbedsIn:
     def test_k33_not_planar(self, k33):
         assert embeds_in(k33, 2, True) is None
@@ -75,6 +124,34 @@ class TestEmbedsIn:
         with pytest.raises(DisconnectedGraphError):
             embeds_in(MultiGraph(2, ()), 1, True)
 
+    def test_single_vertex_is_a_sphere(self):
+        # one face, bounded by the empty walk
+        g = MultiGraph(1, ())
+        for orientable in (True, False):
+            cert = embeds_in(g, 2, orientable)
+            assert cert is not None and cert.chi == 2 and cert.faces == ((),)
+            assert verify_certificate(g, cert)
+
+    def test_single_vertex_best_chi(self):
+        cert = embeds_in(MultiGraph(1, ()), 1, True)
+        assert cert.chi == 2
+        assert embeds_in(MultiGraph(1, ()), -4, True, want_max=True).chi == 2
+
+    def test_no_vertex_rejected(self):
+        with pytest.raises(PreconditionError):
+            embeds_in(MultiGraph(0, ()), 2, True)
+        with pytest.raises(PreconditionError):
+            trace_faces(MultiGraph(0, ()), RotationSystem((), ()))
+
+    def test_planarity_matches_networkx(self):
+        # every connected cubic graph on at most 10 vertices (27 of them)
+        graphs = [g for n in (4, 6, 8, 10) for g in generate_cubic(n)]
+        assert len(graphs) == 27
+        for g in graphs:
+            nxg = nx.MultiGraph(list(g.edges))
+            planar, _ = nx.check_planarity(nxg)
+            assert (embeds_in(g, 2, True) is not None) == planar, g
+
     def test_orientable_subset_of_nonorientable(self, k4):
         # the nonorientable search returns the planar certificate too
         cert = embeds_in(k4, 2, False)
@@ -94,6 +171,19 @@ class TestEmbedsWithFace:
         cert = embeds_in(k4, 2, True, face=c)
         assert verify_certificate(k4, cert, c)
         assert verify_certificate(k4, cert, other)  # also a face of K4
+
+    @pytest.mark.parametrize("forge", [
+        lambda r: RotationSystem(r.rotations[:-1], r.signs),
+        lambda r: RotationSystem(r.rotations, r.signs[:-1]),
+        lambda r: RotationSystem((r.rotations[1],) + r.rotations[1:], r.signs),
+        lambda r: RotationSystem(r.rotations, (2,) + r.signs[1:]),
+    ], ids=["rotations-short", "signs-short", "wrong-vertex", "sign-2"])
+    def test_misfit_rotation_fails(self, k4, forge):
+        cert = embeds_in(k4, 2, True)
+        forged = EmbeddingCertificate(forge(cert.rotation), cert.faces, cert.chi)
+        assert verify_certificate(k4, forged) is False
+        with pytest.raises(PreconditionError):
+            trace_faces(k4, forged.rotation)
 
     def test_json_roundtrip(self, k33):
         cert = embeds_in(k33, 1, False)
