@@ -6,7 +6,11 @@ list. Weights are nonnegative exact rationals, one per edge id.
 
 Minimum cycles come from one search, `min_cycles_per_edge`: a minimum-weight
 cycle through each edge, by a Dijkstra whose labels carry the sorted edge
-ids. `min_weight_cycle` is the least of them.
+ids. It scales the weights to integers once per call; a positive scale keeps
+every order and tie, so the labels and their tie-break are those of the
+Fraction weights. `min_weight_cycle` is the least of them. The certificate
+checker asks `min_cycle_value` instead, a value-only Dijkstra on the Fraction
+weights that shares no code with that search.
 
 The spanning tree enters through one table, `fundamental_cycles`. Edge cuts
 below three edges are read off it (Pritchard & Thurimella 2011): an edge is
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .errors import (AcyclicGraphError, DisconnectedGraphError, InputError,
@@ -314,50 +319,102 @@ def min_cycles_per_edge(g: MultiGraph, w: Sequence[Fraction]
                         ) -> dict[int, tuple[Fraction, tuple[int, ...]]]:
     """For each edge on a cycle, a minimum-weight cycle through it as
     (weight, sorted edge ids): a loop alone, else the edge e=(u,v) plus the
-    u-v path avoiding e found by `_lex_dijkstra`."""
+    u-v path avoiding e found by `_lex_dijkstra`. The weights are scaled
+    once per call to integers over the lcm of their denominators; a positive
+    scale keeps every order and every tie, so the labels and the tie-break
+    are those of the Fraction weights."""
     w = check_weights(g, w)
+    den = lcm(*(x.denominator for x in w))
+    iw = [x.numerator * (den // x.denominator) for x in w]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        if u != v:
+            adj[u].append((e, v))
+            adj[v].append((e, u))
     out: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
     for e, (u, v) in enumerate(g.edges):
         if u == v:
             out[e] = (w[e], (e,))
             continue
-        label = _lex_dijkstra(g, w, u, v, avoid_edge=e)
+        label = _lex_dijkstra(adj, iw, u, v, avoid_edge=e)
         if label is not None:
             dist, path = label
-            out[e] = (dist + w[e], tuple(sorted(path + (e,))))
+            out[e] = (Fraction(dist + iw[e], den), tuple(sorted(path + (e,))))
     return out
 
 
-def _lex_dijkstra(g: MultiGraph, w: Sequence[Fraction], src: int, dst: int,
-                  avoid_edge: int):
+def _lex_dijkstra(adj: list[list[tuple[int, int]]], iw: Sequence[int], src: int,
+                  dst: int, avoid_edge: int):
     """A minimum-weight src-dst path avoiding one edge, as the label
-    (weight, sorted edge ids). Dijkstra on the weight is exact for
-    nonnegative weights; ties are broken by the sorted ids, deterministically
-    but not always to the least set, because appending a zero-weight edge can
-    make a label smaller: a path (12,) that loses to (8,) at dst would win
-    as (3, 12) after its zero-weight edge 3, but dst is already settled."""
-    best: dict[int, tuple[Fraction, tuple[int, ...]]] = {src: (Fraction(0), ())}
-    heap: list[tuple[Fraction, tuple[int, ...], int]] = [(Fraction(0), (), src)]
-    done: set[int] = set()
+    (weight, sorted edge ids), over adj[x] = [(edge, other end)] without
+    loops. Dijkstra on the weight is exact for nonnegative weights; ties are
+    broken by the sorted ids, deterministically but not always to the least
+    set, because appending a zero-weight edge can make a label smaller: a
+    path (12,) that loses to (8,) at dst would win as (3, 12) after its
+    zero-weight edge 3, but dst is already settled."""
+    best: list[tuple[int, tuple[int, ...]] | None] = [None] * len(adj)
+    best[src] = (0, ())
+    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), src)]
+    done = [False] * len(adj)
     while heap:
         dist, path, x = heapq.heappop(heap)
-        if x in done or best.get(x) != (dist, path):
+        if done[x] or best[x] != (dist, path):
             continue
-        done.add(x)
+        done[x] = True
         if x == dst:
             return (dist, path)
-        for e in g.incidence[x]:
-            if e == avoid_edge or g.is_loop(e):
+        for e, y in adj[x]:
+            if e == avoid_edge or done[y]:
                 continue
-            y = g.other_end(e, x)
-            if y in done:
+            nd = dist + iw[e]
+            cur = best[y]
+            if cur is not None and nd > cur[0]:
                 continue
-            nd = dist + w[e]
             npath = tuple(sorted(path + (e,)))
-            cur = best.get(y)
             if cur is None or (nd, npath) < cur:
                 best[y] = (nd, npath)
                 heapq.heappush(heap, (nd, npath, y))
+    return None
+
+
+def min_cycle_value(g: MultiGraph, w: Sequence[Fraction]) -> Fraction:
+    """The least cycle weight alone: over the edges, a loop's weight or an
+    edge (u, v) plus the u-v distance avoiding it. A plain Dijkstra on the
+    Fraction weights, with no path labels and no tie-break; it shares no
+    code with `min_cycles_per_edge`, so a checker built on it does not vouch
+    for the solver's oracle with that same oracle."""
+    w = check_weights(g, w)
+    best = None
+    for e, (u, v) in enumerate(g.edges):
+        d = Fraction(0) if u == v else _dijkstra_dist(g, w, u, v, avoid_edge=e)
+        if d is not None and (best is None or d + w[e] < best):
+            best = d + w[e]
+    if best is None:
+        raise AcyclicGraphError("graph has no cycle")
+    return best
+
+
+def _dijkstra_dist(g: MultiGraph, w: EdgeWeights, src: int, dst: int,
+                   avoid_edge: int) -> Fraction | None:
+    """Weighted src-dst distance avoiding one edge; None if unreachable."""
+    dist = {src: Fraction(0)}
+    heap = [(Fraction(0), src)]
+    done: set[int] = set()
+    while heap:
+        dx, x = heapq.heappop(heap)
+        if x == dst:
+            return dx
+        if x in done:
+            continue
+        done.add(x)
+        for e in g.incidence[x]:
+            y = g.other_end(e, x)
+            if e == avoid_edge or y in done:
+                continue
+            nd = dx + w[e]
+            if y not in dist or nd < dist[y]:
+                dist[y] = nd
+                heapq.heappush(heap, (nd, y))
     return None
 
 

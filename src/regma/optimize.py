@@ -9,8 +9,10 @@ forms: solve_maxmin solves them by cutting planes, with the
 minimum-weight-cycle search (resp. a Gray-code walk over the nonzero F2 dual
 vectors) as separation oracle, and verify_maxmin checks both sides of every
 optimum: primal weights reaching the value, and a dual distribution over
-forms whose largest load is the value. The cogirth checker enumerates the
-dual vectors plainly, sharing no oracle code with the solver.
+forms whose largest load is the value. Neither checker shares oracle code
+with its solver: the systole checker asks the value-only
+`min_cycle_value`, and the cogirth checker enumerates the dual vectors
+plainly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (AcyclicGraphError, PreconditionError, VerificationError,
                      check_guard)
 from .exact import Rat
 from .graph import (Cycle, EdgeWeights, MultiGraph, betti, check_weights,
-                    min_cycles_per_edge, min_weight_cycle)
+                    min_cycle_value, min_cycles_per_edge, min_weight_cycle)
 from .matroid import BinaryMatroid, WeightedRep
 
 ZERO = Fraction(0)
@@ -333,7 +335,7 @@ def verify_systole(g: MultiGraph, res: SystoleResult) -> bool:
             return None
 
     return verify_maxmin(g.m, res.weights, res.value,
-                         lambda w: min_weight_cycle(g, w)[1], support,
+                         lambda w: min_cycle_value(g, w), support,
                          res.tight_cycles, res.dual_dist)
 
 

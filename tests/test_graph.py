@@ -1,17 +1,22 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle_cycles
 from conftest import random_connected_multigraph
+from regma import optimize
 from regma.catalog import catalog
 from regma.errors import (AcyclicGraphError, DisconnectedGraphError,
                           GuardExceeded, PreconditionError)
 from regma.graph import (Cycle, MultiGraph, betti, edge_cut_below,
                          enumerate_cycles, fundamental_cycles, girth,
-                         is_three_edge_connected, min_cycles_per_edge,
-                         min_weight_cycle, reduce_to_cubic, split_vertex)
+                         is_three_edge_connected, min_cycle_value,
+                         min_cycles_per_edge, min_weight_cycle, reduce_to_cubic,
+                         split_vertex)
+from regma.optimize import systole
 
 THETA = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
 
@@ -214,6 +219,79 @@ class TestMinCyclesPerEdge:
             seen["parallel"] += len({tuple(sorted(e)) for e in g.edges}) < g.m
             seen["zero"] += 0 in w
         assert min(seen.values()) > 10
+
+
+def random_weighted_multigraph(rng):
+    """Any multigraph on 0 to 8 vertices, often with loops, parallel edges,
+    isolated vertices and several components, and weights that are often
+    zero, over the denominators 1, 2, 3 and 7."""
+    n = rng.randint(0, 8)
+    m = rng.randint(0, 14) if n else 0
+    edges = tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m))
+    w = [Fraction(rng.choice((0, 0, 1, 2, 3, 5)), rng.choice((1, 2, 3, 7)))
+         for _ in range(m)]
+    return MultiGraph(n, edges), w
+
+
+class TestMinCyclesOracle:
+    """The integer `min_cycles_per_edge` keeps the Fraction search's labels
+    and tie-break, so its dict equals `oracle_cycles`' label for label."""
+
+    def test_random_multigraphs(self):
+        rng = random.Random(1212)
+        seen = {"empty": 0, "isolated": 0, "loop": 0, "parallel": 0,
+                "zero": 0, "mixed": 0}
+        for _ in range(2000):
+            g, w = random_weighted_multigraph(rng)
+            got = min_cycles_per_edge(g, w)
+            want = oracle_cycles.min_cycles_per_edge(g, w)
+            assert got == want and repr(got) == repr(want), (g, w)
+            seen["empty"] += g.n == 0
+            seen["isolated"] += any(not inc for inc in g.incidence) and g.m > 0
+            seen["loop"] += any(u == v for u, v in g.edges)
+            seen["parallel"] += len({tuple(sorted(e)) for e in g.edges}) < g.m
+            seen["zero"] += 0 in w
+            seen["mixed"] += len({x.denominator for x in w}) > 2
+        assert min(seen.values()) > 100
+
+    def test_separation_calls_of_systole(self, monkeypatch):
+        # every weight vector the cutting planes separate, recorded through
+        # a wrapper
+        calls = []
+
+        def record(g, lam):
+            calls.append((g, lam))
+            return min_cycles_per_edge(g, lam)
+
+        monkeypatch.setattr(optimize, "min_cycles_per_edge", record)
+        for name in ("petersen", "f14", "heawood", "moebius_kantor"):
+            systole(catalog(name))
+        assert len(calls) == 7 + 5 + 6 + 10
+        for g, lam in calls:
+            got = min_cycles_per_edge(g, lam)
+            assert got == oracle_cycles.min_cycles_per_edge(g, lam)
+
+
+class TestMinCycleValue:
+    def test_matches_enumeration_on_random_graphs(self):
+        rng = random.Random(3131)
+        acyclic = 0
+        for _ in range(400):
+            g, w = random_weighted_multigraph(rng)
+            cycles = enumerate_cycles(g)
+            if not cycles:
+                acyclic += 1
+                with pytest.raises(AcyclicGraphError):
+                    min_cycle_value(g, w)
+                continue
+            want = min(c.weight(w) for c in cycles)
+            assert min_cycle_value(g, w) == want == min_weight_cycle(g, w)[1]
+        assert 20 < acyclic < 200
+
+    def test_table_witnesses_at_uniform_weights(self, petersen, heawood):
+        assert min_cycle_value(petersen, [Fraction(1, 15)] * 15) == Fraction(1, 3)
+        assert min_cycle_value(heawood, [Fraction(1)] * 21) == 6
+
 
 class TestEnumerateCycles:
     def test_counts(self, k4, petersen):

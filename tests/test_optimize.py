@@ -11,10 +11,11 @@ import pytest
 
 import oracle_lp
 from conftest import random_connected_multigraph
-from regma import optimize
+from regma import graph, optimize
 from regma.catalog import catalog
 from regma.errors import AcyclicGraphError, PreconditionError, VerificationError
-from regma.graph import Cycle, MultiGraph, betti, enumerate_cycles, girth
+from regma.graph import (Cycle, MultiGraph, betti, enumerate_cycles, girth,
+                         min_cycles_per_edge)
 from regma.matroid import WeightedRep, cographic, graphic, r10
 from regma.optimize import (C_TABLE, S_TABLE, CogirthResult, SystoleResult,
                             bound_decomposable, bound_large_girth,
@@ -228,6 +229,49 @@ class TestSystole:
         res = systole(g)
         assert verify_systole(g, res)
         assert sum(y for _, y in res.dual_dist) == 1
+
+    def test_checker_does_not_trust_the_cycle_oracle(self, monkeypatch):
+        # theta plus a loop has systole 2/5. An oracle that reports, for the
+        # loop, a heavier cycle of the theta never lets the loop join the LP,
+        # so the cutting planes stop at the theta's 2/3 with the loop at
+        # weight 0; a checker that asked the same oracle would agree.
+        # verify_systole's own minimum sees the loop and rejects the result
+        g = MultiGraph(2, ((0, 1), (0, 1), (0, 1), (0, 0)))
+        assert systole(g).value == Fraction(2, 5)
+
+        def heavier(g, w):
+            out = min_cycles_per_edge(g, w)
+            out[3] = (out[3][0] + 10, out[0][1])
+            return out
+
+        monkeypatch.setattr(graph, "min_cycles_per_edge", heavier)
+        monkeypatch.setattr(optimize, "min_cycles_per_edge", heavier)
+        with pytest.raises(VerificationError):
+            systole(g)
+
+    @pytest.mark.parametrize("name,lps,oracle_calls", [
+        ("petersen", 7, 23), ("f14", 5, 24), ("heawood", 6, 28),
+        ("moebius_kantor", 10, 35),
+    ])
+    def test_round_counts(self, monkeypatch, name, lps, oracle_calls):
+        # one LP per cutting-plane round; the oracle runs once per round
+        # and once per seed search (1 + m of them), and never for the
+        # checker. A change to the oracle's labels changes which rows join
+        # the LP, and shows here
+        counts = Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                counts[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(optimize, "lp_max", counted(lp_max))
+        oracle = counted(min_cycles_per_edge)
+        monkeypatch.setattr(graph, "min_cycles_per_edge", oracle)
+        monkeypatch.setattr(optimize, "min_cycles_per_edge", oracle)
+        systole(catalog(name))
+        assert counts == {"lp_max": lps, "min_cycles_per_edge": oracle_calls}
 
     @pytest.mark.parametrize("solve,verify,arg", [
         ("systole", "verify_systole", "catalog('k4')"),
