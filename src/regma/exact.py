@@ -1,6 +1,8 @@
 """Exact arithmetic kernel: arbitrary-precision integer and rational linear
 algebra, F2 linear algebra on packed bitmasks, the Hermite normal form and
-integer kernel lattices, and the odd-determinant regularity test.
+integer kernel lattices, and the odd-determinant regularity test: a
+depth-first walk over the Q-independent column prefixes, with one exact
+determinant per basis.
 
 Rationals are fractions.Fraction values (always stored reduced with a
 positive denominator, so equality is bit-exact). Integer matrices are
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import DimensionError, RankDeficientError
@@ -87,7 +90,12 @@ class IntMatrix:
         return IntMatrix.from_rows(out) if out else IntMatrix(0, other.cols, ())
 
     def select_cols(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix.from_rows([[self.at(i, j) for j in indices] for i in range(self.rows)])
+        c = self.cols
+        if indices and not (0 <= min(indices) and max(indices) < c):
+            raise DimensionError(f"column index out of range({c})")
+        e = self.entries
+        return IntMatrix(self.rows, len(indices),
+                         tuple([e[i + j] for i in range(0, self.rows * c, c) for j in indices]))
 
     def mod2(self) -> "BitMatrix":
         bits = []
@@ -264,45 +272,48 @@ def odd_determinant_check(h: IntMatrix) -> OddDetVerdict:
     determinant in {0} or odd. The first offending column subset in
     lexicographic order is reported.
 
-    The scan keeps an incremental F2 echelon of the chosen columns: a full
-    F2 rank certifies an odd determinant for free, and the exact Bareiss
-    determinant is only computed for subsets that are F2-singular (those are
-    the only ones that can be even and nonzero).
+    The scan walks the column subsets depth first in lexicographic order,
+    keeping a fraction-free echelon over Q of the chosen columns. A column
+    that reduces to zero makes the prefix dependent, so every completion has
+    determinant 0 and the subtree is skipped. Every leaf reached is a basis,
+    decided by one exact Bareiss `det`: an even value is the violation.
     """
     d, n = h.rows, h.cols
     if rank_q(h) != d:
         raise RankDeficientError(f"matrix has rank < {d}; columns do not span")
     if d == 0:
         return OddDetVerdict(True)
-    cols2 = h.mod2().col_masks()
+    cols = [h.col(j) for j in range(n)]
 
     chosen: list[int] = []
+    echelon: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
 
-    def scan(start: int, basis: tuple[int, ...]) -> OddDetVerdict | None:
+    def scan(start: int) -> OddDetVerdict | None:
         depth = len(chosen)
         if depth == d:
-            if len(basis) == d:
-                return None  # F2-nonsingular: determinant is odd
             dd = det(h.select_cols(chosen))
-            if dd != 0:
-                return OddDetVerdict(False, tuple(chosen), dd)
-            return None
+            return None if dd & 1 else OddDetVerdict(False, tuple(chosen), dd)
         # Upper range bound keeps enough columns to finish the subset.
         for j in range(start, n - (d - depth) + 1):
-            w = cols2[j]
-            for b in basis:
-                w = min(w, w ^ b)
-            nb = basis
-            if w:
-                nb = tuple(sorted(basis + (w,), reverse=True))
+            w = cols[j]
+            for p, v in echelon:
+                if w[p]:
+                    a, b = v[p], w[p]
+                    w = [a * x - b * y for x, y in zip(w, v)]
+            g = gcd(*w)
+            if not g:
+                continue  # Q-dependent prefix: every completion is singular
+            w = [x // g for x in w]
+            echelon.append((next(i for i, x in enumerate(w) if x), w))
             chosen.append(j)
-            bad = scan(j + 1, nb)
+            bad = scan(j + 1)
             chosen.pop()
+            echelon.pop()
             if bad is not None:
                 return bad
         return None
 
-    bad = scan(0, ())
+    bad = scan(0)
     return bad if bad is not None else OddDetVerdict(True)
 
 

@@ -5,8 +5,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from regma import exact
 from regma.errors import DimensionError, RankDeficientError
 import oracle_lattice
+import oracle_odd_det
 from oracle_lattice import smith_normal_form
 from regma.exact import (IntMatrix, det, format_rat, hermite_row_form,
                          kernel_lattice_basis, odd_determinant_check,
@@ -123,6 +125,99 @@ class TestOddDeterminant:
                 expect_ok = False
                 break
         assert odd_determinant_check(m).ok == expect_ok
+
+
+def _odd_det_verdict(check, m):
+    try:
+        return check(m)
+    except RankDeficientError as exc:
+        return ("rank deficient", str(exc))
+
+
+class TestOddDeterminantOracle:
+    """The basis walk against the full F2-echelon scan of
+    `oracle_odd_det`: same `ok`, violation, determinant, or the same
+    `RankDeficientError`."""
+
+    ALPHABETS = ((0, 1), (-1, 0, 1), (0, 1, 2), (-2, -1, 0, 1, 2),
+                 (-3, 0, 1, 2, 4))
+
+    def test_random_matrices(self):
+        rng = random.Random(13)
+        kinds = {"ok": 0, "violation": 0, "rank deficient": 0}
+        for _ in range(3000):
+            d = rng.randint(0, 5)
+            n = rng.randint(d, 9)
+            alphabet = rng.choice(self.ALPHABETS)
+            m = IntMatrix(d, n, tuple(rng.choice(alphabet) for _ in range(d * n)))
+            got = _odd_det_verdict(odd_determinant_check, m)
+            assert got == _odd_det_verdict(oracle_odd_det.odd_determinant_check, m), m
+            kinds[got[0] if isinstance(got, tuple) else
+                  "ok" if got.ok else "violation"] += 1
+        # both verdicts are common, so a wrong prune or leaf test shows
+        assert kinds["ok"] > 600 and kinds["violation"] > 1000, kinds
+
+    def test_named_matrices(self):
+        from regma.catalog import catalog
+        from regma.matroid import cographic, graphic, sum2, sum3
+
+        k5, k33 = catalog("k5"), catalog("k33")
+        star = [f"e{e}" for e in k33.incidence[0]]
+        tri = ["e0", "e4", "e1"]
+        lifts = [FANO, R10]
+        for name in ("k4", "k5", "k33", "petersen"):
+            lifts += [graphic(catalog(name)).lift, cographic(catalog(name)).lift]
+        lifts += [
+            sum2(graphic(catalog("k4")), "e0", graphic(k5), "e0").lift,
+            sum2(cographic(k33), "e0", graphic(k5), "e3").lift,
+            sum3(cographic(k33), star, cographic(k33), star).lift,
+            sum3(graphic(k5), tri, graphic(k5), tri).lift,
+        ]
+        for h in lifts:
+            assert (odd_determinant_check(h)
+                    == oracle_odd_det.odd_determinant_check(h)), h
+        assert odd_determinant_check(FANO) == exact.OddDetVerdict(False, (3, 4, 5), -2)
+
+    @pytest.mark.parametrize("name", ["k7", "petersen", "f14"])
+    def test_one_det_per_basis(self, name, monkeypatch):
+        # For a graph the bases of both lifts are its spanning trees (or
+        # their complements), so the walk reaches exactly that many leaves.
+        import networkx as nx
+        from regma.catalog import catalog
+        from regma.matroid import cographic, graphic
+
+        g = catalog(name)
+        trees = round(nx.number_of_spanning_trees(nx.MultiGraph(list(g.edges))))
+        calls = []
+
+        def counted(m):
+            calls.append(m.rows)
+            return det(m)
+
+        monkeypatch.setattr(exact, "det", counted)
+        for m in (graphic(g), cographic(g)):
+            calls.clear()
+            assert odd_determinant_check(m.lift).ok
+            assert len(calls) == trees and set(calls) == {m.rank}, name
+
+
+class TestSelectCols:
+    M = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+
+    def test_matches_row_construction(self):
+        from itertools import product
+
+        for k in range(4):
+            for idx in product(range(3), repeat=k):
+                want = IntMatrix.from_rows(
+                    [[self.M.at(i, j) for j in idx] for i in range(3)])
+                assert self.M.select_cols(idx) == want == self.M.select_cols(list(idx))
+        assert self.M.select_cols([]) == IntMatrix(3, 0, ())
+
+    @pytest.mark.parametrize("idx", [[-1], [3], [0, -3], [2, 3], [4]])
+    def test_out_of_range(self, idx):
+        with pytest.raises(DimensionError):
+            self.M.select_cols(idx)
 
 
 class TestSmith:
