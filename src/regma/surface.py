@@ -8,6 +8,12 @@ is one pair of opposite orbits, a walk and its reversal, so one walker marks
 every state it visits together with its reversal state and meets each face
 exactly once; the search counts those walks and `trace_faces` writes them
 out.
+
+The search skips, without reordering, candidates that cannot be its answer:
+those whose pinned face is missing, those whose faces cannot reach the
+count needed because each face is at least a girth long, and the mirror
+images, which have the same faces as the candidates kept (Mohar and
+Thomassen, Graphs on Surfaces, 2001).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from itertools import permutations, product
 from typing import Iterator, Sequence
 
 from .errors import DisconnectedGraphError, PreconditionError, check_guard
-from .graph import Cycle, MultiGraph, betti, fundamental_cycles
+from .graph import Cycle, MultiGraph, betti, fundamental_cycles, girth
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,8 @@ def _dart_tables(m: int, rotations: Sequence[Sequence[int]]):
     return nxt, prv
 
 
-def _face_walks(m: int, nxt, prv, signs) -> list[list[int]]:
+def _face_walks(m: int, nxt, prv, signs, need: int = 0,
+                shortest: int = 1) -> list[list[int]]:
     """One dart walk per face, in the order of its least state.
 
     States are (dart, side), numbered 2 * dart + side; the successor crosses
@@ -106,8 +113,13 @@ def _face_walks(m: int, nxt, prv, signs) -> list[list[int]]:
     (d ^ 1, side ^ 1 ^ [edge d >> 1 negative]), so marking that state too
     leaves one orbit of each face's pair to be walked. A graph without edges
     has one face, bounded by the empty walk.
+
+    The walks of all faces hold 2m darts, and no face is shorter than
+    `shortest`; the walker stops, with fewer than `need` walks, as soon as
+    the darts left could not make up the faces missing.
     """
     total = 4 * m
+    left = 2 * m
     seen = bytearray(total)
     walks: list[list[int]] = []
     for s0 in range(total):
@@ -125,7 +137,33 @@ def _face_walks(m: int, nxt, prv, signs) -> list[list[int]]:
             side ^= flip
             s = ((prv[t] if side else nxt[t]) << 1) | side
         walks.append(walk)
+        left -= len(walk)
+        if len(walks) + left // shortest < need:
+            break
     return walks or [[]]
+
+
+def _bounds_face(nxt, prv, signs, on_face: bytes, k: int, e: int) -> bool:
+    """Whether the k-cycle with edge e and membership table `on_face`
+    bounds a face: the test `_has_face` makes on the traced faces. Such a
+    face passes e, and the two faces there are the orbits of the states of
+    dart 2e. A walk that stays on the cycle's edges goes round it (it can
+    only turn back at a vertex of degree 1), so the face is the cycle iff
+    the walk keeps to its edges for k steps and is then back where it
+    started, on the same side."""
+    for s0 in (4 * e, 4 * e + 1):
+        s = s0
+        for _ in range(k):
+            d = s >> 1
+            if not on_face[d >> 1]:
+                break
+            t = d ^ 1
+            side = (s & 1) ^ (signs[d >> 1] < 0)
+            s = ((prv[t] if side else nxt[t]) << 1) | side
+        else:
+            if s == s0:
+                return True
+    return False
 
 
 def trace_faces(g: MultiGraph, rot: RotationSystem) -> list[tuple[int, ...]]:
@@ -187,12 +225,15 @@ def _has_face(faces: Sequence[tuple[int, ...]], c: Cycle) -> bool:
 
 
 def _rotation_candidates(g: MultiGraph) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All rotation systems, lexicographic: the first dart at each vertex is
-    pinned (cyclic order), remaining darts permuted."""
+    """Rotation systems up to mirror image, lexicographic: the first dart at
+    each vertex is pinned (cyclic order), remaining darts permuted. At the
+    first vertex of degree >= 3 the second dart is less than the last one;
+    the mirror image, every rotation reversed, is the one left out."""
     darts_at = [[] for _ in range(g.n)]
     for e, (u, v) in enumerate(g.edges):
         darts_at[u].append(2 * e)
         darts_at[v].append(2 * e + 1)
+    pin = next((v for v in range(g.n) if len(darts_at[v]) >= 3), None)
     per_vertex = []
     for v in range(g.n):
         ds = darts_at[v]
@@ -200,7 +241,8 @@ def _rotation_candidates(g: MultiGraph) -> Iterator[tuple[tuple[int, ...], ...]]
             per_vertex.append([tuple(ds)])
         else:
             head, rest = ds[0], ds[1:]
-            per_vertex.append([(head,) + p for p in permutations(rest)])
+            per_vertex.append([(head,) + p for p in permutations(rest)
+                               if v != pin or p[0] < p[-1]])
     for combo in product(*per_vertex):
         yield tuple(combo)
 
@@ -236,29 +278,58 @@ def embeds_in(g: MultiGraph, chi: int, orientable: bool,
     lexicographic order wins. With want_max, exhaust the space and return a
     certificate attaining the maximum characteristic if it is >= chi.
     When face is given, the cycle must appear as a face boundary, as the
-    extension arguments need that attach a new vertex inside that disc."""
+    extension arguments need that attach a new vertex inside that disc; a
+    face that is not a cycle of g raises PreconditionError.
+
+    Three prunings skip only candidates that cannot be the answer, so the
+    first hit, the want_max winner and every None are those of the full
+    lexicographic walk:
+    - the pinned face is tested before the faces are counted; a hit must
+      pass both tests, so their order changes nothing;
+    - a face walk that never turns back (every degree >= 2) contains a
+      cycle, so each face holds at least girth(g) of the 2m darts. A
+      candidate is dropped mid-count once its faces so far plus the darts
+      left per girth fall short of the faces needed, and the search ends
+      when 2m // girth do. With want_max, one face more than the best so
+      far is needed, since only a strictly greater chi replaces it;
+    - the mirror image of a rotation system, every rotation reversed, has
+      the same closed face walks (state (d, side) becomes (d, 1 - side))
+      and so the same count and pinned face. `_rotation_candidates` keeps
+      of each pair the one that comes first in the product order, the one
+      the full walk would meet first.
+    """
     if g.n == 0:
         raise PreconditionError("an embedding needs at least one vertex")
     if not g.is_connected():
         raise DisconnectedGraphError("embedding search requires a connected graph")
     check_guard(_search_space(g, orientable), 10 ** 9, "embeds_in search space")
+    base = g.n - g.m
+    shortest = girth(g) if all(g.degree(v) >= 2 for v in range(g.n)) else 1
+    most = 2 * g.m // shortest if g.m else 1
+    need = chi - base
+    if face is not None:
+        Cycle.from_edges(g, face.edge_ids)  # a face of g must be a cycle of g
+        on_face = bytes(e in face.edge_ids for e in range(g.m))
+        e0, k = min(face.edge_ids), len(face)
     best: tuple[int, RotationSystem] | None = None
     sign_list = list(_sign_candidates(g, orientable))
     for rotations in _rotation_candidates(g):
+        if need > most:
+            break
         nxt, prv = _dart_tables(g.m, rotations)
         for signs in sign_list:
-            got = g.n - g.m + len(_face_walks(g.m, nxt, prv, signs))
-            if got < chi:
+            if face is not None and not _bounds_face(nxt, prv, signs,
+                                                     on_face, k, e0):
+                continue
+            got = len(_face_walks(g.m, nxt, prv, signs, need, shortest))
+            if got < need:
                 continue
             rot = RotationSystem(rotations, signs)
-            if face is not None or not want_max:
-                faces = trace_faces(g, rot)
-                if face is not None and not _has_face(faces, face):
-                    continue
-                if not want_max:
-                    return EmbeddingCertificate(rot, tuple(faces), got)
-            if best is None or got > best[0]:
-                best = (got, rot)
+            if not want_max:
+                return EmbeddingCertificate(rot, tuple(trace_faces(g, rot)),
+                                            base + got)
+            best = (base + got, rot)
+            need = got + 1
     if best is None:
         return None
     chi_best, rot = best

@@ -166,9 +166,10 @@ class TestNamedCycles:
             assert len(c) == want
 
 
-@pytest.mark.slow
 class TestNonProjectivePlanarity:
-    @pytest.mark.parametrize("name", ["g1", "f11", "f12", "f13", "f14"])
+    @pytest.mark.parametrize("name", ["g1"] + [
+        pytest.param(name, marks=pytest.mark.slow)
+        for name in ("f11", "f12", "f13", "f14")])
     def test_no_rp2_embedding(self, name):
         assert embeds_in(catalog(name), 1, False) is None
 

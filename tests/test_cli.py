@@ -116,6 +116,19 @@ class TestEmbed:
         rc, _, err = run_cli("embed", "builtin:k33", "--chi", "2")
         assert rc == 1
 
+    def test_no_embedding_without_a_walk(self, monkeypatch, capsys):
+        # 30 darts in faces of length >= 5 make at most 6 of the 14 faces
+        # that chi = 9 needs, so the search ends before its first candidate
+        from regma import surface
+
+        def no_walk(*args):
+            raise AssertionError("faces walked")
+
+        monkeypatch.setattr(surface, "_face_walks", no_walk)
+        assert main(["embed", "builtin:petersen", "--chi", "9"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "no embedding found (exhaustive)\n"
+
     def test_pinned_face(self):
         rc, out, _ = run_cli("embed", "builtin:k4", "--chi", "2",
                              "--face", "0,1,3")

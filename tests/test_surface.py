@@ -4,13 +4,16 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+import oracle_embeds
 import oracle_faces
-from regma.catalog import catalog
+from regma import surface
+from regma.catalog import NAMED_CYCLE_MODES, catalog, named_cycle
 from regma.cubicgen import generate_cubic
-from regma.errors import DisconnectedGraphError, PreconditionError
-from regma.graph import Cycle, MultiGraph, betti
-from regma.surface import (EmbeddingCertificate, RotationSystem, _dart_tables,
-                           _face_walks, _rotation_candidates, _sign_candidates,
+from regma.errors import DisconnectedGraphError, PreconditionError, RegmaError
+from regma.graph import Cycle, MultiGraph, betti, enumerate_cycles
+from regma.surface import (EmbeddingCertificate, RotationSystem, _cyclic_key,
+                           _dart_tables, _face_walks, _rotation_candidates,
+                           _search_space, _sign_candidates,
                            embedding_systole_bound, embeds_in, trace_faces,
                            verify_certificate)
 
@@ -185,11 +188,136 @@ class TestEmbedsWithFace:
         with pytest.raises(PreconditionError):
             trace_faces(k4, forged.rotation)
 
+    @pytest.mark.parametrize("ids", [{0, 1}, {0, 1, 3, 40}, {-1, 0, 1}])
+    def test_face_not_a_cycle_of_g_rejected(self, k4, ids):
+        with pytest.raises(PreconditionError):
+            embeds_in(k4, 2, True, face=Cycle(frozenset(ids)))
+
     def test_json_roundtrip(self, k33):
         cert = embeds_in(k33, 1, False)
         back = EmbeddingCertificate.from_json(cert.to_json())
         assert back == cert
         assert verify_certificate(k33, back)
+
+
+def search_outcome(search, g, chi, orientable, face=None, want_max=False):
+    """The certificate's JSON, None, or the type and text of the error."""
+    try:
+        cert = search(g, chi, orientable, face=face, want_max=want_max)
+    except RegmaError as exc:
+        return type(exc).__name__, str(exc)
+    return cert and cert.to_json()
+
+
+def random_search_graph(rng):
+    """A connected multigraph on 1..5 vertices: a random tree (so degree-1
+    vertices occur) plus up to 4 edges that may be loops or parallel; one
+    draw in 40 adds an isolated vertex instead, which the search rejects."""
+    n = rng.randint(1, 5)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [(rng.randrange(n), rng.randrange(n))
+              for _ in range(rng.randint(0, 4))]
+    rng.shuffle(edges)
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    return MultiGraph(n + (rng.randrange(40) == 0), tuple(edges))
+
+
+class TestSearchOracle:
+    """embeds_in skips candidates by the pinned face, the girth bound and
+    mirror images; the unpruned search must give the same answer."""
+
+    def test_random_multigraphs(self):
+        rng = random.Random(20261019)
+        cases = [(MultiGraph(1, ()), chi, ori, None, wm)
+                 for chi in range(-3, 4) for ori in (True, False)
+                 for wm in (False, True)]
+        while len(cases) < 1200:
+            g = random_search_graph(rng)
+            ori = rng.random() < 0.5
+            if _search_space(g, ori) > 400:
+                continue
+            cycles = enumerate_cycles(g) if g.is_connected() else []
+            face = rng.choice(cycles) if cycles and rng.random() < 0.4 else None
+            cases.append((g, rng.randint(-3, 3), ori, face, rng.random() < 0.3))
+        kinds = set()
+        for g, chi, ori, face, wm in cases:
+            got = search_outcome(embeds_in, g, chi, ori, face, wm)
+            assert got == search_outcome(oracle_embeds.embeds_in, g, chi, ori,
+                                         face, wm), (g, chi, ori, face, wm)
+            kinds.add(type(got).__name__)
+        assert kinds == {"str", "NoneType", "tuple"}
+
+    @pytest.mark.parametrize("name,chi,orientable", [
+        ("k33", 1, False), ("petersen", 1, False), ("heawood", 0, True),
+        ("petersen", 2, False), ("g1", 1, False), ("k4", -2, True),
+        ("k33", -5, False)])
+    def test_catalog_searches(self, name, chi, orientable):
+        g = catalog(name)
+        for want_max in (False, True):
+            if want_max and _search_space(g, orientable) > 5000:
+                continue
+            want = search_outcome(oracle_embeds.embeds_in, g, chi, orientable,
+                                  want_max=want_max)
+            assert search_outcome(embeds_in, g, chi, orientable,
+                                  want_max=want_max) == want
+
+    @pytest.mark.parametrize("cname", sorted(NAMED_CYCLE_MODES))
+    def test_named_cycles(self, cname):
+        g, c = named_cycle(cname)
+        chi, orientable = NAMED_CYCLE_MODES[cname]
+        want = search_outcome(oracle_embeds.embeds_in, g, chi, orientable, c)
+        assert search_outcome(embeds_in, g, chi, orientable, c) == want
+
+
+def counting(monkeypatch, name):
+    """Count the calls the search makes to a surface helper."""
+    calls = []
+    inner = getattr(surface, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(surface, name, wrapper)
+    return calls
+
+
+class TestPruning:
+    @pytest.mark.parametrize("chi,want_max", [(2, False), (9, True)])
+    def test_girth_bound_walks_nothing(self, petersen, monkeypatch, chi, want_max):
+        # 30 darts in faces of length >= 5 make at most 6 faces; chi = 2
+        # needs 7 and chi = 9 needs 14
+        walks = counting(monkeypatch, "_face_walks")
+        assert embeds_in(petersen, chi, False, want_max=want_max) is None
+        assert walks == []
+
+    def test_one_of_each_mirror_pair(self, monkeypatch):
+        g = catalog("g1")
+        assert len(list(oracle_embeds._rotation_candidates(g))) == 1024
+        tables = counting(monkeypatch, "_dart_tables")
+        assert embeds_in(g, 1, False) is None
+        assert len(tables) == 512
+
+    def test_mirror_has_the_same_faces(self, k33):
+        # the same closed walks; a walk may start elsewhere in the mirror
+        def closed_walks(rot):
+            return sorted(_cyclic_key(f) for f in trace_faces(k33, rot))
+
+        kept = set(_rotation_candidates(k33))
+        for rotations in kept:
+            mirror = tuple(r[:1] + r[:0:-1] for r in rotations)
+            assert mirror not in kept
+            for signs in _sign_candidates(k33, False):
+                assert (closed_walks(RotationSystem(mirror, signs))
+                        == closed_walks(RotationSystem(rotations, signs)))
+
+    def test_faces_shorter_than_needed(self, k4):
+        # the count stops once the darts left cannot make the faces needed;
+        # planar K4 has four triangles, so 12 darts meet the need of 4
+        rot = embeds_in(k4, 2, True).rotation
+        nxt, prv = _dart_tables(k4.m, rot.rotations)
+        assert len(_face_walks(k4.m, nxt, prv, rot.signs, 4, 3)) == 4
+        assert len(_face_walks(k4.m, nxt, prv, rot.signs, 5, 3)) < 5
 
 
 class TestBound:
