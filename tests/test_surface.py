@@ -92,7 +92,7 @@ class TestFaceOracle:
     def test_every_search_candidate(self, name):
         # every rotation system times every gauge-fixed sign vector
         g = catalog(name)
-        for rotations in _rotation_candidates(g):
+        for rotations in oracle_embeds._rotation_candidates(g):
             for signs in _sign_candidates(g, False):
                 rot = RotationSystem(rotations, signs)
                 want = oracle_faces.trace_faces(g, rot)
