@@ -18,6 +18,15 @@ child deduplicated by canonical form:
   blob (K4 with one edge subdivided) hangs by the bridge r-p. Without it
   two blobs joined by a bridge (n = 10) are never reached.
 
+Each move is applied only at the least edge (diamond, blob) or least edge
+pair (H-insertion), in `combinations` order, of each orbit of the parent's
+automorphism group on edges (McKay 1998, "Isomorph-free exhaustive
+generation"). Children made at one orbit are isomorphic, and the loop
+reaches an orbit's least member before its others, so the first child of
+every isomorphism class is still made: the kept graphs, their edge tuples
+and their order are those of applying every move everywhere, from about a
+quarter of the canonical labellings.
+
 Completeness over the whole guarded range n <= 16 is shown by exhaustion:
 the counts equal the known totals (1, 2, 5, 19, 85, 509, 4060 for
 n = 4..16) and the canonical forms are distinct. The test suite also ties
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import PreconditionError, VerificationError, check_guard
 from .graph import MultiGraph, betti, girth, is_three_edge_connected
@@ -189,10 +198,29 @@ def automorphisms(g: MultiGraph) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _h_insertions(g: MultiGraph) -> Iterator[MultiGraph]:
-    """Subdivide two distinct edges (loops allowed) and join the midpoints."""
+def _orbit_leaders(g: MultiGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """The least k-set of edge ids, in `combinations` order, of each orbit
+    of automorphisms(g) on k-sets of edges, in that order. An automorphism
+    carries an edge to the one edge on the image endpoints, so g must not
+    have parallel edges."""
+    index = {frozenset(e): i for i, e in enumerate(g.edges)}
+    if len(index) != g.m:
+        raise PreconditionError("edge orbits need a graph without parallel edges")
+    images = [[index[frozenset((p[u], p[v]))] for u, v in g.edges]
+              for p in automorphisms(g)]
+    done: set[tuple[int, ...]] = set()
+    for site in combinations(range(g.m), k):
+        if site not in done:
+            done.update(tuple(sorted(img[e] for e in site)) for img in images)
+            yield site
+
+
+def _h_insertions(g: MultiGraph,
+                  pairs: Iterable[tuple[int, int]]) -> Iterator[MultiGraph]:
+    """Subdivide the two distinct edges (loops allowed) of each pair of edge
+    ids and join the midpoints."""
     n, m = g.n, g.m
-    for e, f in combinations(range(m), 2):
+    for e, f in pairs:
         a, b = g.edges[e]
         c, d = g.edges[f]
         x, y = n, n + 1
@@ -208,22 +236,25 @@ def _diamond(x: int) -> list[tuple[int, int]]:
     return [(x, y), (x, z), (y, z), (x, w), (y, w)]
 
 
-def _diamond_insertions(g: MultiGraph) -> Iterator[MultiGraph]:
-    """Replace an edge a-b by a-z, a diamond, then w-b."""
+def _diamond_insertions(g: MultiGraph,
+                        sites: Iterable[tuple[int]]) -> Iterator[MultiGraph]:
+    """Replace the edge a-b of each 1-tuple of edge ids by a-z, a diamond,
+    then w-b."""
     n, m = g.n, g.m
-    for e in range(m):
+    for (e,) in sites:
         a, b = g.edges[e]
         edges = [g.edges[i] for i in range(m) if i != e]
         edges += _diamond(n) + [(a, n + 2), (n + 3, b)]
         yield MultiGraph(n + 4, tuple(edges))
 
 
-def _blob_insertions(g: MultiGraph) -> Iterator[MultiGraph]:
-    """Subdivide an edge a-b with a new vertex r, join r to a new vertex p,
-    and join p to z and w of a new diamond."""
+def _blob_insertions(g: MultiGraph,
+                     sites: Iterable[tuple[int]]) -> Iterator[MultiGraph]:
+    """Subdivide the edge a-b of each 1-tuple of edge ids with a new vertex
+    r, join r to a new vertex p, and join p to z and w of a new diamond."""
     n, m = g.n, g.m
     r, p, x = n, n + 1, n + 2
-    for e in range(m):
+    for (e,) in sites:
         a, b = g.edges[e]
         edges = [g.edges[i] for i in range(m) if i != e]
         edges += [(a, r), (r, b), (r, p), (p, x + 2), (p, x + 3)] + _diamond(x)
@@ -233,17 +264,22 @@ def _blob_insertions(g: MultiGraph) -> Iterator[MultiGraph]:
 @lru_cache(maxsize=None)
 def _connected_cubic(n: int) -> tuple[MultiGraph, ...]:
     """All connected cubic simple graphs on n vertices, one per isomorphism
-    class, sorted by canonical form."""
+    class, sorted by canonical form.
+
+    Each class keeps its first child. Moves run at orbit leaders only: a
+    child made at another member of an orbit is isomorphic to the one made
+    earlier at its leader, so the first child of each class is made at a
+    leader and is the one kept when every member is tried."""
     if n == 4:
         k4 = MultiGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
         return (k4,)
     seen: dict[str, MultiGraph] = {}
-    for step, move in ((2, _h_insertions), (4, _diamond_insertions),
-                       (6, _blob_insertions)):
+    for step, move, size in ((2, _h_insertions, 2), (4, _diamond_insertions, 1),
+                             (6, _blob_insertions, 1)):
         if n - step < 4:
             continue
         for parent in _connected_cubic(n - step):
-            for child in move(parent):
+            for child in move(parent, _orbit_leaders(parent, size)):
                 seen.setdefault(canonical_form(child), child)
     return tuple(seen[k] for k in sorted(seen))
 

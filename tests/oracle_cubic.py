@@ -1,12 +1,18 @@
-"""Independent pair-model oracles for the cubic graph generator: exhaustive
-labeled enumeration for small n and an exact labeled count (degree-demand
-dynamic program plus the exponential formula for connectedness)."""
+"""Oracles for the cubic graph generator: independent pair-model oracles
+(exhaustive labeled enumeration for small n and an exact labeled count by a
+degree-demand dynamic program plus the exponential formula for
+connectedness), and the generation loop that applies every move at every
+edge and edge pair, without the orbit pruning."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+
+from regma.cubicgen import (_blob_insertions, _diamond_insertions,
+                            _h_insertions, canonical_form)
+from regma.graph import MultiGraph
 
 
 def all_labeled_cubic_graphs(n: int):
@@ -96,3 +102,22 @@ def labeled_connected_cubic_count(n: int) -> int:
         total -= comb(n - 1, k - 1) * labeled_connected_cubic_count(k) \
             * labeled_cubic_count(n - k)
     return total
+
+
+@lru_cache(maxsize=None)
+def connected_cubic(n: int) -> tuple[MultiGraph, ...]:
+    """All connected cubic simple graphs on n vertices, one per isomorphism
+    class, sorted by canonical form: each move at every edge or edge pair of
+    every parent, each class keeping its first child."""
+    if n == 4:
+        k4 = MultiGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
+        return (k4,)
+    seen: dict[str, MultiGraph] = {}
+    for step, move, size in ((2, _h_insertions, 2), (4, _diamond_insertions, 1),
+                             (6, _blob_insertions, 1)):
+        if n - step < 4:
+            continue
+        for parent in connected_cubic(n - step):
+            for child in move(parent, combinations(range(parent.m), size)):
+                seen.setdefault(canonical_form(child), child)
+    return tuple(seen[k] for k in sorted(seen))

@@ -1,9 +1,11 @@
 import math
+from itertools import combinations
 
 import pytest
 
 import oracle_automorphisms
 import oracle_canonical
+import oracle_cubic
 from conftest import random_connected_multigraph
 from oracle_cubic import (all_labeled_cubic_graphs, is_connected_edges,
                           labeled_connected_cubic_count)
@@ -30,7 +32,8 @@ def h_grown_multigraphs(max_n):
     for _ in range(4, max_n + 1, 2):
         seen = {}
         for parent in level:
-            for child in cubicgen._h_insertions(parent):
+            pairs = combinations(range(parent.m), 2)
+            for child in cubicgen._h_insertions(parent, pairs):
                 seen.setdefault(oracle_canonical.canonical_form(child), child)
         level = list(seen.values())
         out += level
@@ -74,16 +77,17 @@ class TestOracleCanonical:
     byte."""
 
     def test_every_graph_canonised_in_generation(self, monkeypatch):
+        # every child of the unpruned generation, not only the orbit leaders'
         seen = []
 
         def record(g):
             seen.append(g)
             return canonical_form(g)
 
-        monkeypatch.setattr(cubicgen, "canonical_form", record)
-        cubicgen._connected_cubic.cache_clear()
-        for n in range(4, 11, 2):
-            list(generate_cubic(n))
+        monkeypatch.setattr(oracle_cubic, "canonical_form", record)
+        oracle_cubic.connected_cubic.cache_clear()
+        oracle_cubic.connected_cubic(10)
+        assert len(seen) == 447
         for g in seen:
             assert canonical_form(g) == oracle_canonical.canonical_form(g)
 
@@ -137,6 +141,61 @@ class TestAutomorphisms:
             g = MultiGraph(n, tuple((rng.randrange(n), rng.randrange(n))
                                     for _ in range(m)))
             assert automorphisms(g) == oracle_automorphisms.automorphisms(g), g
+
+
+def edge_set_orbit_count(g, k):
+    """Orbits of the oracle automorphism group on k-sets of edges, by
+    Burnside: the mean number of k-sets each automorphism fixes."""
+    index = {frozenset(e): i for i, e in enumerate(g.edges)}
+    auts = oracle_automorphisms.automorphisms(g)
+    fixed = 0
+    for p in auts:
+        img = [index[frozenset((p[u], p[v]))] for u, v in g.edges]
+        fixed += sum(1 for site in combinations(range(g.m), k)
+                     if sorted(img[e] for e in site) == list(site))
+    return fixed // len(auts)
+
+
+class TestOrbitPruning:
+    """Moves at orbit leaders only keep the graphs, edge tuples and order of
+    moves at every edge and pair (tests/oracle_cubic.py)."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12,
+                                   pytest.param(14, marks=pytest.mark.slow)])
+    def test_same_graphs_as_unpruned(self, n):
+        got = [(g.n, g.edges) for g in cubicgen._connected_cubic(n)]
+        assert got == [(g.n, g.edges) for g in oracle_cubic.connected_cubic(n)]
+
+    def test_k4_children(self, k4):
+        leaders = cubicgen._orbit_leaders
+        assert len(list(cubicgen._h_insertions(k4, leaders(k4, 2)))) == 2
+        assert len(list(cubicgen._diamond_insertions(k4, leaders(k4, 1)))) == 1
+        assert len(list(cubicgen._blob_insertions(k4, leaders(k4, 1)))) == 1
+
+    def test_one_leader_per_orbit(self):
+        for n in (4, 6, 8, 10):
+            for g in cubicgen._connected_cubic(n):
+                for k in (1, 2):
+                    leaders = list(cubicgen._orbit_leaders(g, k))
+                    assert leaders == sorted(leaders)
+                    assert len(leaders) == edge_set_orbit_count(g, k)
+
+    def test_canonical_form_calls(self, monkeypatch):
+        calls = []
+
+        def count(g):
+            calls.append(1)
+            return canonical_form(g)
+
+        monkeypatch.setattr(cubicgen, "canonical_form", count)
+        cubicgen._connected_cubic.cache_clear()
+        cubicgen._connected_cubic(12)  # and n = 4..10 below it
+        assert len(calls) == 580
+
+    def test_parallel_edges_rejected(self):
+        theta = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
+        with pytest.raises(PreconditionError):
+            list(cubicgen._orbit_leaders(theta, 2))
 
 
 class TestGenerate:
