@@ -164,9 +164,6 @@ def catalog(name: str) -> MultiGraph:
     raise PreconditionError(f"unknown catalog name {name!r}")
 
 
-CATALOG_NAMES = tuple(sorted(_BUILDERS)) + ("k<n>", "moebius_ladder<r>")
-
-
 # Orbit representatives under Aut(F13)/Aut(F14) admitting chi = 0 embeddings
 # with the cycle pinned as a face (f14_c8 and f14_c10 on the torus, the rest
 # on the Klein bottle); fixed by exhaustive rotation-system search.

@@ -5,7 +5,8 @@ Human-readable summaries go to stderr, machine JSON to stdout (or --out).
 Exit codes: 0 ok, 1 computational failure or failed verification, 2 usage
 or malformed input.
 Every emitted certificate can be re-verified with --check, which runs only
-the cheap verification direction.
+the cheap verification direction. All checks go through _check and all
+results through _emit.
 """
 
 from __future__ import annotations
@@ -28,25 +29,34 @@ from .serialize import (format_matroid, load_graph, load_weights,
 from .surface import EmbeddingCertificate, embeds_in, verify_certificate
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+def _emit(args, payload) -> None:
+    """Write a result to --out, or else to stdout: text as is, anything else
+    as indented JSON."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(payload + "\n")
     else:
-        print(text)
+        print(payload)
 
 
-def _load_certificate(path: str, build):
-    """build(text) for the certificate file at path; text whose JSON or
-    shape does not fit raises InputError."""
+def _check(path: str, build, verify) -> int:
+    """Re-verify the certificate file at path and print the verdict.
+    build(text) reads the certificate; text whose JSON or shape does not fit
+    raises InputError. verify(cert) returns the verdict and a note for the
+    verdict line (empty for none)."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return build(text)
+        cert = build(text)
     except (ValueError, KeyError, TypeError, ZeroDivisionError,
             RecursionError) as exc:
         raise InputError(f"malformed certificate {path}: {exc!r}") from None
+    ok, note = verify(cert)
+    verdict = f"certificate {'ok' if ok else 'FAILED'}"
+    print(f"{verdict}: {note}" if note else verdict, file=sys.stderr)
+    return 0 if ok else 1
 
 
 def _rat(x) -> Fraction:
@@ -87,23 +97,16 @@ def _cmd_systole(args) -> int:
                      "witness_cycle": sorted(cyc.edge_ids)})
         return 0
     if args.check:
-        res = _load_certificate(args.check,
-                                lambda text: _systole_certificate(text, g.m))
-        ok = verify_systole(g, res)
-        print(f"certificate {'ok' if ok else 'FAILED'}", file=sys.stderr)
-        return 0 if ok else 1
+        return _check(args.check, lambda text: _systole_certificate(text, g.m),
+                      lambda res: (verify_systole(g, res), ""))
     res = systole(g)
     print(f"sys(G) = {format_rat(res.value)}", file=sys.stderr)
-    payload = {
+    _emit(args, {
         "value": format_rat(res.value),
         "weights": [format_rat(x) for x in res.weights],
         "tight_cycles": [sorted(c.edge_ids) for c in res.tight_cycles],
         "dual": [[sorted(c.edge_ids), format_rat(y)] for c, y in res.dual_dist],
-    }
-    if args.certificate:
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-    _emit(args, payload)
+    })
     return 0
 
 
@@ -121,11 +124,8 @@ def _cogirth_certificate(text: str, n: int) -> CogirthResult:
 def _cmd_cogirth(args) -> int:
     m = parse_matroid_expr(args.matroid)
     if args.check:
-        res = _load_certificate(args.check,
-                                lambda text: _cogirth_certificate(text, m.size))
-        ok = verify_cogirth(m, res)
-        print(f"certificate {'ok' if ok else 'FAILED'}", file=sys.stderr)
-        return 0 if ok else 1
+        return _check(args.check, lambda text: _cogirth_certificate(text, m.size),
+                      lambda res: (verify_cogirth(m, res), ""))
     res = cogirth(m)
     print(f"c(M) = {format_rat(res.value)}", file=sys.stderr)
     _emit(args, {"value": format_rat(res.value),
@@ -164,10 +164,8 @@ def _cmd_embed(args) -> int:
         except PreconditionError as exc:
             raise InputError(f"--face {args.face!r}: {exc}") from None
     if args.check:
-        cert = _load_certificate(args.check, EmbeddingCertificate.from_json)
-        ok = verify_certificate(g, cert, face)
-        print(f"certificate {'ok' if ok else 'FAILED'}", file=sys.stderr)
-        return 0 if ok else 1
+        return _check(args.check, EmbeddingCertificate.from_json,
+                      lambda cert: (verify_certificate(g, cert, face), ""))
     orientable = not args.nonorientable
     cert = embeds_in(g, args.chi, orientable, face=face, want_max=args.max_chi)
     if cert is None:
@@ -176,36 +174,30 @@ def _cmd_embed(args) -> int:
     print(f"embedded with chi = {cert.chi}, "
           f"{'orientable' if cert.rotation.orientable() else 'nonorientable'}, "
           f"{len(cert.faces)} faces", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cert.to_json() + "\n")
-    else:
-        print(cert.to_json())
+    _emit(args, cert.to_json())
     return 0
+
+
+def _involution_certificate(text: str) -> InvolutionSet:
+    data = json.loads(text)
+    return InvolutionSet(tuple(int(v, 2) for v in data["vectors"]),
+                         tuple(data["counts"]))
 
 
 def _cmd_involutions6(args) -> int:
     m = parse_matroid_expr(args.matroid)
-    mult = None
-    if args.mult:
-        mult = load_weights(args.mult, m.size)
-    if args.check:
-        def build(text: str) -> InvolutionSet:
-            data = json.loads(text)
-            return InvolutionSet(tuple(int(v, 2) for v in data["vectors"]),
-                                 tuple(data["counts"]))
+    mult = (load_weights(args.mult, m.size) if args.mult
+            else [Fraction(1, m.size)] * m.size)
 
-        s = _load_certificate(args.check, build)
-        use = mult if mult is not None else [Fraction(1, m.size)] * m.size
-        ok, ksum, bound = verify_involutions(m, use, s)
-        print(f"certificate {'ok' if ok else 'FAILED'}: "
-              f"{format_rat(ksum)} <= {format_rat(bound)}", file=sys.stderr)
-        return 0 if ok else 1
+    def verify(s: InvolutionSet) -> tuple[bool, str]:
+        ok, ksum, bound = verify_involutions(m, mult, s)
+        return ok, f"{format_rat(ksum)} <= {format_rat(bound)}"
+
+    if args.check:
+        return _check(args.check, _involution_certificate, verify)
     s = six_involutions(m)
-    use = mult if mult is not None else [Fraction(1, m.size)] * m.size
-    ok, ksum, bound = verify_involutions(m, use, s)
-    print(f"six involutions found; sum of codimensions "
-          f"{format_rat(ksum)} <= {format_rat(bound)}", file=sys.stderr)
+    ok, sums = verify(s)
+    print(f"six involutions found; sum of codimensions {sums}", file=sys.stderr)
     _emit(args, {"vectors": [format(v, "06b") for v in s.vs],
                  "counts": list(s.counts),
                  "kernel_count_min": min(s.counts)})
@@ -239,17 +231,15 @@ def _cmd_matroid_build(args) -> int:
     m = parse_matroid_expr(args.expr)
     print(f"rank {m.rank}, {m.size} elements, lift "
           f"{'present' if m.lift is not None else 'absent'}", file=sys.stderr)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(format_matroid(m) + "\n")
-    else:
-        print(format_matroid(m))
+    _emit(args, format_matroid(m))
     return 0
 
 
 def _cmd_verify_tables(args) -> int:
     from .tables import verify_tables
 
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     report = verify_tables(args.max_b, exhaustive=args.exhaustive,
                            jobs=args.jobs)
     failures = [item for item in report["items"] if item["status"] == "fail"]
@@ -272,7 +262,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("systole", help="exact systole of a graph")
     p.add_argument("graph")
     p.add_argument("--weights", help="weights file: compute sys(G, w) only")
-    p.add_argument("--certificate", help="write the certificate JSON here")
     p.add_argument("--check", help="verify a stored certificate instead")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_systole)

@@ -107,21 +107,6 @@ class IntMatrix:
             bits.append(word)
         return BitMatrix(self.rows, self.cols, tuple(bits))
 
-    def format(self) -> str:
-        """Whitespace rows preceded by a "rows cols" header line."""
-        lines = [f"{self.rows} {self.cols}"]
-        lines.extend(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-        return "\n".join(lines)
-
-    @staticmethod
-    def parse(text: str) -> "IntMatrix":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        nrows, ncols = map(int, lines[0].split())
-        rows = [[int(x) for x in ln.split()] for ln in lines[1 : 1 + nrows]]
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
-            raise DimensionError("matrix body does not match header")
-        return IntMatrix.from_rows(rows) if nrows else IntMatrix(0, ncols, ())
-
 
 @dataclass(frozen=True)
 class BitMatrix:

@@ -79,7 +79,7 @@ class MultiGraph:
         u, v = self.edges[e]
         return u == v
 
-    def components(self, skip_edges: frozenset[int] = frozenset()) -> list[list[int]]:
+    def components(self) -> list[list[int]]:
         seen = [False] * self.n
         comps = []
         for s in range(self.n):
@@ -91,8 +91,6 @@ class MultiGraph:
             while stack:
                 x = stack.pop()
                 for e in self.incidence[x]:
-                    if e in skip_edges:
-                        continue
                     y = self.other_end(e, x)
                     if not seen[y]:
                         seen[y] = True

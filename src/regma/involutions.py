@@ -6,8 +6,10 @@ any weight vector.
 The functionals are found by one pruned search over the 63 nonzero
 functionals on F2^6, whatever the matroid's construction. Ranks below six
 need no padding: a functional on the unused coordinates vanishes on every
-column, so the search finds those too. verify_involutions recomputes every
-kernel count from the columns, so a set is trusted only through it.
+column, so the search finds those too. An InvolutionSet, whether found
+here or read from a certificate, is only a claim: verify_involutions
+recomputes every kernel count from the columns and is the one check that
+judges it.
 """
 
 from __future__ import annotations
@@ -23,17 +25,13 @@ from .matroid import BinaryMatroid
 
 @dataclass(frozen=True)
 class InvolutionSet:
-    """Six distinct nonzero functionals on F2^6 (bitmasks) with per-element
-    kernel counts, all at least four."""
+    """A claimed certificate: functionals on F2^6 (bitmasks) and their
+    per-element kernel counts. Nothing is checked on construction;
+    verify_involutions alone decides whether the claim holds (six distinct
+    nonzero functionals, counts as stated and all at least four)."""
 
     vs: tuple[int, ...]
     counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.vs) != 6 or len(set(self.vs)) != 6 or 0 in self.vs:
-            raise PreconditionError("need six pairwise distinct nonzero vectors")
-        if any(c < 4 for c in self.counts):
-            raise PreconditionError("every element must lie in at least four kernels")
 
 
 def _kernel_counts(cols: Sequence[int], vs: Sequence[int]) -> tuple[int, ...]:

@@ -41,6 +41,8 @@ def load_weights(path: str, m: int) -> tuple[Fraction, ...]:
         raise InputError(f"malformed weight file {path}: {exc}") from None
     if len(vals) != m:
         raise InputError(f"expected {m} weights, got {len(vals)}")
+    if any(x < 0 for x in vals):
+        raise InputError(f"negative entry in weight file {path}")
     return tuple(vals)
 
 
@@ -112,7 +114,7 @@ def parse_matroid_expr(expr: str) -> BinaryMatroid:
         raise InputError(f"wrong number of arguments to {head}: {len(args)}")
     if head == "graphic":
         g = load_graph(args[0])
-        if len(args) > 1 and not args[1].isdecimal():
+        if len(args) > 1 and not (args[1].isdecimal() and int(args[1]) < g.n):
             raise InputError(f"graphic root must be a vertex number, got {args[1]!r}")
         return graphic(g, int(args[1]) if len(args) > 1 else 0)
     if head == "cographic":

@@ -31,7 +31,7 @@ class TestSystole:
 
     def test_certificate_roundtrip(self, tmp_path):
         cert = tmp_path / "cert.json"
-        rc, _, _ = run_cli("systole", "builtin:k4", "--certificate", str(cert))
+        rc, _, _ = run_cli("systole", "builtin:k4", "--out", str(cert))
         assert rc == 0
         rc, _, err = run_cli("systole", "builtin:k4", "--check", str(cert))
         assert rc == 0 and "ok" in err
@@ -200,6 +200,10 @@ class TestOthers:
         (["000001", "001110", "010000", "010101", "100000", "100011"], [4]),
         # functionals outside F2^6 vanish on every column
         ([format(1 << k, "b") for k in range(6, 12)], [6] * 15),
+        # the search's own vectors with counts that are not theirs
+        (["000001", "000010", "000100", "011100", "101010", "110001"], [1]),
+        # five of them, which is one too few
+        (["000001", "000010", "000100", "011100", "101010"], [4] * 15),
     ])
     def test_forged_involutions_rejected(self, tmp_path, vectors, counts):
         cert = tmp_path / "forged.json"
@@ -279,6 +283,31 @@ class TestOthers:
 class TestMalformedInput:
     """Malformed input gives one `error:` line and exit code 2."""
 
+    @pytest.mark.parametrize("command", [
+        ["systole", "builtin:k4", "--weights"],
+        ["c-rep", "graphic(builtin:k4)", "--mult"],
+        ["involutions6", "graphic(builtin:k4)", "--mult"],
+    ])
+    def test_negative_weight(self, tmp_path, command):
+        wfile = tmp_path / "w"
+        wfile.write_text("\n".join(["1/2", "-1/2"] + ["1/4"] * 4))
+        rc, out, err = run_cli(*command, str(wfile))
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: negative entry in weight file {wfile}"]
+
+    @pytest.mark.parametrize("root", ["3", "7", "-1"])
+    def test_graphic_root_out_of_range(self, root):
+        rc, out, err = run_cli("cogirth", f"graphic(builtin:k3,{root})")
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: graphic root must be a vertex number, got {root!r}"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, jobs):
+        rc, out, err = run_cli("verify-tables", "--max-b", "3", "--jobs", jobs)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: --jobs must be at least 1, got {jobs}"]
+
     def test_graph_file_bad_token(self, tmp_path):
         gfile = tmp_path / "g"
         gfile.write_text("2 1\n0 x\n")
@@ -321,6 +350,34 @@ class TestInProcessMain:
         assert main(["systole", "builtin:theta"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["value"] == "2/3"
+
+    @pytest.mark.parametrize("command", [
+        ["systole", "builtin:petersen"],
+        ["systole", "builtin:heawood", "--weights", "UNIFORM21"],
+        ["cogirth", "r10"],
+        ["c-rep", "r10"],
+        ["embed", "builtin:k4", "--chi", "2", "--face", "0,1,3"],
+        ["involutions6", "cographic(builtin:petersen)"],
+        ["reduce", "builtin:g1"],
+        ["matroid-build", "sum2(graphic(builtin:k4)@e0, r10@f3)"],
+        ["verify-tables", "--max-b", "3"],
+    ])
+    def test_out_file_equals_stdout(self, tmp_path, capsys, command):
+        wfile = tmp_path / "w"
+        wfile.write_text("\n".join(["1/21"] * 21))
+        command = [str(wfile) if a == "UNIFORM21" else a for a in command]
+        assert main(command) == 0
+        out, err = capsys.readouterr()
+        path = tmp_path / "out"
+        assert main([*command, "--out", str(path)]) == 0
+        assert capsys.readouterr() == ("", err)
+        written = path.read_text(encoding="utf-8")
+        if command[0] == "verify-tables":
+            # the only field that differs between two runs
+            out, written = (json.loads(text) for text in (out, written))
+            for item in out["items"] + written["items"]:
+                del item["seconds"]
+        assert written == out
 
 
 # Certificate-shaped JSON: the fields the loaders read, holding values of

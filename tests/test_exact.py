@@ -316,12 +316,6 @@ class TestRationals:
         assert parse_rat("3/7") == Fraction(3, 7)
         assert parse_rat("-5") == Fraction(-5)
 
-    def test_matrix_header_format(self):
-        m = IntMatrix.from_rows([[1, -2, 3], [0, 4, -5]])
-        text = m.format()
-        assert text.splitlines()[0] == "2 3"
-        assert IntMatrix.parse(text).entries == m.entries
-
     @given(st.fractions())
     @settings(max_examples=50, deadline=None)
     def test_parse_format(self, q):

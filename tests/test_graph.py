@@ -84,8 +84,7 @@ class TestEdgeCut:
         f11 = catalog("f11")
         cut = edge_cut_below(f11, 3)
         assert cut is not None and len(cut) == 2
-        skip = frozenset(cut)
-        assert len(f11.components(skip)) == 2
+        assert nx_components(f11, set(cut)) == 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):

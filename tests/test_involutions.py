@@ -109,9 +109,7 @@ class TestVerify:
             1 for x in bad_vs if bin(x & m.columns[j]).count("1") % 2 == 0))
         mult = [Fraction(0)] * m.size
         mult[weak] = Fraction(1)
-        fake = InvolutionSet.__new__(InvolutionSet)
-        object.__setattr__(fake, "vs", bad_vs)
-        object.__setattr__(fake, "counts", (4,) * m.size)
+        fake = InvolutionSet(bad_vs, (4,) * m.size)
         ok, ksum, bound = verify_involutions(m, mult, fake)
         assert not ok and ksum == 3 and bound == 2
 
@@ -124,9 +122,7 @@ class TestVerify:
     def test_forged_counts_fail(self, petersen, counts):
         m = cographic(petersen)
         assert sorted(counts_of(m, self.FORGED)).count(3) == 3
-        forged = InvolutionSet.__new__(InvolutionSet)
-        object.__setattr__(forged, "vs", self.FORGED)
-        object.__setattr__(forged, "counts", counts or counts_of(m, self.FORGED))
+        forged = InvolutionSet(self.FORGED, counts or counts_of(m, self.FORGED))
         ok, ksum, bound = verify_involutions(m, [Fraction(1, m.size)] * m.size,
                                              forged)
         assert not ok and ksum <= bound
@@ -149,9 +145,8 @@ class TestVerify:
     def test_duplicate_vectors_fail(self):
         # on rank 2, functionals on coordinates 2..5 vanish on every column
         m = graphic(catalog("k3"))
-        fake = InvolutionSet.__new__(InvolutionSet)
-        object.__setattr__(fake, "vs", (4, 8, 16, 32, 4, 8))
-        object.__setattr__(fake, "counts", counts_of(m, fake.vs))
+        vs = (4, 8, 16, 32, 4, 8)
+        fake = InvolutionSet(vs, counts_of(m, vs))
         ok, _, _ = verify_involutions(m, [Fraction(1, m.size)] * m.size, fake)
         assert not ok
 

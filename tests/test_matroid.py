@@ -23,7 +23,8 @@ def min_edge_cuts(g):
     non_loops = [e for e in range(g.m) if not g.is_loop(e)]
     for size in range(1, len(non_loops) + 1):
         for sub in combinations(non_loops, size):
-            if len(g.components(frozenset(sub))) > 1:
+            rest = tuple(uv for e, uv in enumerate(g.edges) if e not in sub)
+            if len(MultiGraph(g.n, rest).components()) > 1:
                 if not any(set(c) < set(sub) for c in out):
                     out.append(tuple(sorted(sub)))
     return sorted(out)

@@ -65,3 +65,50 @@ def test_private_functions_have_callers():
     unused = sorted(name for name, defs in own.items()
                     if not used_by.get(name, set()) - defs)
     assert unused == []
+
+
+def _public_definitions(tree):
+    """(name, node) for each public function, class or constant that a
+    module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if name[:1] != "_")
+
+
+def _names_read(node):
+    """Every name a node reads, attribute names and imported names included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.alias):
+            names.add(sub.name.rsplit(".", 1)[-1])
+        # ast.Name carries an id, ast.Attribute an attr
+        name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+        if name is not None:
+            names.add(name)
+    return names
+
+
+def test_public_names_have_users():
+    # the public counterpart of the rule above: a public name that neither
+    # the library (a re-export in regma/__init__ counts) nor the benchmark
+    # reads is dead code; a use inside its own definition does not count
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.rglob("*.py"))]
+    read_by = [(node, _names_read(node)) for tree in trees for node in tree.body]
+    benchmark = set().union(*(
+        _names_read(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((SRC.parent.parent / "perfbench").glob("*.py"))))
+    defined = [(name, node) for tree in trees for name, node in _public_definitions(tree)]
+    assert len(defined) > 50
+    unused = sorted(name for name, node in defined
+                    if name not in benchmark
+                    and not any(name in names for other, names in read_by
+                                if other is not node))
+    assert unused == []
