@@ -186,6 +186,8 @@ def _involution_certificate(text: str) -> InvolutionSet:
 
 def _cmd_involutions6(args) -> int:
     m = parse_matroid_expr(args.matroid)
+    if m.size == 0:
+        raise PreconditionError("involutions6 of a matroid with no elements")
     mult = (load_weights(args.mult, m.size) if args.mult
             else [Fraction(1, m.size)] * m.size)
 
@@ -207,6 +209,8 @@ def _cmd_involutions6(args) -> int:
 def _cmd_gen_cubic(args) -> int:
     from .cubicgen import generate_cubic
 
+    if args.n < 4 or args.n % 2:
+        raise InputError(f"--n must be an even number of at least 4, got {args.n}")
     count = 0
     for g in generate_cubic(args.n, args.min_girth, args.three_connected):
         count += 1
@@ -238,6 +242,8 @@ def _cmd_matroid_build(args) -> int:
 def _cmd_verify_tables(args) -> int:
     from .tables import verify_tables
 
+    if not 1 <= args.max_b <= 9:
+        raise InputError(f"--max-b must be between 1 and 9, got {args.max_b}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     report = verify_tables(args.max_b, exhaustive=args.exhaustive,

@@ -2,10 +2,12 @@
 systoles, matroid cogirths, weighted-representation minima, and the
 recursive bound calculators.
 
-The LP solver is a two-phase simplex with Bland's rule on a fraction-free
-integer tableau (Edmonds/Bareiss pivots over one common divisor). Systole
-and cogirth both maximise, over the simplex, the minimum of 0/1 linear
-forms: solve_maxmin solves them by cutting planes, with the
+Systole and cogirth both maximise, over the simplex, the minimum of 0/1
+linear forms. The one LP solved is that max-min LP over the active rows:
+lp_max starts from the known feasible basis (lam_0 on sum lam = 1, every
+slack basic) and pivots by Bland's rule on a fraction-free integer tableau
+(Edmonds/Bareiss pivots over one common divisor). solve_maxmin solves the
+full problem by cutting planes, with the
 minimum-weight-cycle search (resp. a Gray-code walk over the nonzero F2 dual
 vectors) as separation oracle, and verify_maxmin checks both sides of every
 optimum: primal weights reaching the value, and a dual distribution over
@@ -33,18 +35,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class LPSolution:
-    """status is 'optimal', 'infeasible', or 'unbounded'; at optimal the
-    primal/dual objective values agree exactly (strong duality)."""
-
-    status: str
-    primal: tuple[Rat, ...] = ()
-    dual_eq: tuple[Rat, ...] = ()
-    dual_ub: tuple[Rat, ...] = ()
-    value: Rat = ZERO
-
-
 def _int_row(values: Sequence[Rat]) -> tuple[int, list[int]]:
     """(L, L * values) for L the least common multiple of the denominators."""
     vals = [x if type(x) is int else Fraction(x) for x in values]
@@ -56,155 +46,76 @@ def _int_row(values: Sequence[Rat]) -> tuple[int, list[int]]:
                    for x in vals]
 
 
-def lp_max(objective: Sequence[Rat],
-           eq: Sequence[tuple[Sequence[Rat], Rat]] = (),
-           ub: Sequence[tuple[Sequence[Rat], Rat]] = ()) -> LPSolution:
-    """Maximize objective·x subject to eq rows (a·x = b), ub rows (a·x <= b),
-    and x >= 0, by two-phase simplex with Bland's anti-cycling rule.
+def lp_max(n: int, ub: Sequence[frozenset[int]]) -> tuple[tuple[Rat, ...], Rat, tuple[Rat, ...]]:
+    """Maximize t over distributions lam on n items subject to t <= lam(S)
+    for every row S (an index set) of ub, by simplex with Bland's
+    anti-cycling rule. Returns (lam, t, duals), one dual per row.
 
-    The tableau is fraction-free (Edmonds/Bareiss pivots, as in Avis's lrs):
-    an integer matrix M and a divisor d > 0 with true tableau M / d. Each row
-    is scaled to integers, its sign flipped for a negative right-hand side,
-    while slack and artificial columns stay unit columns; that only rescales
-    those variables by positive factors, so reduced-cost signs, ratio
-    orderings and hence every pivot are those of the rational tableau."""
-    n = len(objective)
-    kinds: list[str] = []
-    scales: list[int] = []  # signed: negative where the rhs was negated
-    tab: list[list[int]] = []
-    for kind, rows, what in (("eq", eq, "equality"), ("ub", ub, "inequality")):
-        for a, b in rows:
-            if len(a) != n:
-                raise PreconditionError(f"{what} row length mismatch")
-            scale, row = _int_row([*a, b])
-            if row[n] < 0:
-                scale, row = -scale, [-x for x in row]
-            kinds.append(kind)
-            scales.append(scale)
-            tab.append(row)
-    m = len(tab)
-
-    # Columns: n structural, one slack per ub row, then one artificial per
-    # row that needs one (eq rows, and ub rows whose rhs was negated; a
-    # nonnegative ub row starts with its slack basic). The identity column
-    # of each row (slack or artificial) also yields its dual value.
-    nslack = kinds.count("ub")
-    art_rows = [i for i in range(m) if kinds[i] == "eq" or scales[i] < 0]
-    art0 = n + nslack
-    width = art0 + len(art_rows)
-    basis = [-1] * m
-    identity_col = [-1] * m
-    si = 0
-    ai = 0
-    for i in range(m):
-        row = tab[i][:n] + [0] * (width - n) + [tab[i][n]]
-        if kinds[i] == "ub":
-            row[n + si] = 1 if scales[i] > 0 else -1
-            if scales[i] > 0:
-                basis[i] = n + si
-                identity_col[i] = n + si
-            si += 1
-        if kinds[i] == "eq" or scales[i] < 0:
-            row[art0 + ai] = 1
-            basis[i] = art0 + ai
-            identity_col[i] = art0 + ai
-            ai += 1
-        tab[i] = row
-    # Row m is the objective row: d times the reduced costs of the phase's
-    # costs (in the rescaled variables, times a positive objective scale).
-    tab.append([0] * (width + 1))
+    Columns: lam_0..lam_{n-1}, t, then one slack per row. The start is the
+    feasible basis that phase 1 of a two-phase simplex reaches in its one
+    pivot: lam_0 basic on sum lam = 1 and every slack basic, with lam_0
+    eliminated from the rows that contain item 0. The tableau is
+    fraction-free (Edmonds/Bareiss pivots, as in Avis's lrs): an integer
+    matrix M and a divisor d > 0 with true tableau M / d, so every pivot is
+    that of the rational tableau. With a row the LP is bounded (t <= 1), so
+    an improving column always has a leaving row."""
+    if n < 1 or not ub:
+        raise PreconditionError("the max-min LP needs at least one item and one row")
+    k = len(ub)
+    width = n + 1 + k
+    # Row 0 is sum lam = 1 with lam_0 basic. Row 1 + r is t - lam(S) +
+    # slack_r = 0, plus row 0 where S holds item 0, which eliminates lam_0.
+    tab = [[1] * n + [0] * (k + 1) + [1]]
+    for r, s in enumerate(ub):
+        lead = int(0 in s)
+        row = [lead - (i in s) for i in range(n)] + [1] + [0] * k + [lead]
+        row[n + 1 + r] = 1
+        tab.append(row)
+    # The last row is the objective row: d times the reduced costs.
+    tab.append([0] * n + [1] + [0] * (k + 1))
+    basis = [0] + [n + 1 + r for r in range(k)]
     d = 1
-
-    def pivot(r: int, col: int) -> None:
-        # Row r stays; every other row becomes (p·M_i − M_i,col·M_r) / d,
-        # an exact division (Bareiss). A negative pivot, possible only when
-        # an artificial is driven out, negates all rows to keep d > 0.
-        nonlocal d
-        pr = tab[r]
-        p = pr[col]
-        for i in range(m + 1):
-            if i == r:
+    while True:
+        # Bland's rule: first improving column, smallest-index leaving basis
+        # variable on ratio ties (ratios compared cross-multiplied).
+        obj = tab[-1]
+        enter = next((j for j in range(width) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = -1
+        for i in range(k + 1):
+            a = tab[i][enter]
+            if a > 0:
+                if leave < 0:
+                    leave, num, den = i, tab[i][width], a
+                    continue
+                lhs, rhs = tab[i][width] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, tab[i][width], a
+        if leave < 0:
+            raise VerificationError("max-min LP found no leaving row")
+        # Row leave stays; every other row becomes (p·M_i − M_i,enter·M_leave)
+        # / d, an exact division (Bareiss); p > 0 by the ratio test.
+        pr = tab[leave]
+        p = pr[enter]
+        for i, ri in enumerate(tab):
+            if i == leave:
                 continue
-            ri = tab[i]
-            f = ri[col]
+            f = ri[enter]
             if f:
                 tab[i] = [(p * x - f * y) // d for x, y in zip(ri, pr)]
             elif p != d:
                 tab[i] = [p * x // d for x in ri]
-        if p < 0:
-            for i in range(m + 1):
-                tab[i] = [-x for x in tab[i]]
-            p = -p
         d = p
-        basis[r] = col
-
-    def run_phase(limit: int) -> bool:
-        """Pivot to optimality; False when the objective is unbounded."""
-        while True:
-            # Bland's rule: first improving column, smallest-index leaving
-            # basis variable on ratio ties (ratios compared cross-multiplied).
-            obj = tab[m]
-            enter = next((j for j in range(limit) if obj[j] > 0), None)
-            if enter is None:
-                return True
-            leave = -1
-            for i in range(m):
-                a = tab[i][enter]
-                if a > 0:
-                    if leave < 0:
-                        leave, num, den = i, tab[i][width], a
-                        continue
-                    lhs, rhs = tab[i][width] * den, num * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                        leave, num, den = i, tab[i][width], a
-            if leave < 0:
-                return False
-            pivot(leave, enter)
-
-    if art_rows:
-        # Phase 1 maximizes minus the sum of the original artificials; the
-        # rescaled artificial of row i costs 1/|scale_i| each, times their lcm.
-        obj_scale = 1
-        for i in art_rows:
-            obj_scale = obj_scale // gcd(obj_scale, scales[i]) * abs(scales[i])
-        obj = tab[m]
-        for i in art_rows:
-            k = obj_scale // abs(scales[i])
-            obj[basis[i]] = -k
-            obj = [x + k * y for x, y in zip(obj, tab[i])]
-        tab[m] = obj
-        run_phase(art0)
-        if any(tab[i][width] != 0 and basis[i] >= art0 for i in range(m)):
-            return LPSolution("infeasible")
-        for i in range(m):
-            if basis[i] >= art0:
-                col = next((j for j in range(art0) if tab[i][j] != 0), None)
-                if col is not None:
-                    pivot(i, col)
-
-    obj_scale, c = _int_row(objective)
-    obj = [d * x for x in c] + [0] * (width + 1 - n)
-    for i in range(m):
-        cb = c[basis[i]] if basis[i] < n else 0
-        if cb:
-            obj = [x - cb * y for x, y in zip(obj, tab[i])]
-    tab[m] = obj
-    if not run_phase(art0):
-        return LPSolution("unbounded")
-
-    x = [ZERO] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = Fraction(tab[i][width], d)
-    # The objective row's rhs is -d * obj_scale * value. The dual of row r
-    # is the z-value of its identity column (zero cost, so z = -reduced
-    # cost), undone for that column's rescaling and the sign flip at setup.
-    obj = tab[m]
-    den = d * obj_scale
-    duals = [Fraction(-scales[r] * obj[identity_col[r]], den) for r in range(m)]
-    dual_eq = tuple(duals[i] for i in range(m) if kinds[i] == "eq")
-    dual_ub = tuple(duals[i] for i in range(m) if kinds[i] == "ub")
-    return LPSolution("optimal", tuple(x), dual_eq, dual_ub, Fraction(-obj[width], den))
+        basis[leave] = enter
+    lam = [ZERO] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            lam[j] = Fraction(tab[i][width], d)
+    # The objective row's rhs is -d * t; the dual of a row is minus the
+    # reduced cost of its slack.
+    obj = tab[-1]
+    return tuple(lam), Fraction(-obj[width], d), tuple(Fraction(-y, d) for y in obj[n + 1:width])
 
 
 def _load(row: frozenset[int], w: Sequence[Rat]) -> Rat:
@@ -224,8 +135,7 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
     breaks either raises VerificationError instead of looping."""
     rows = list(seeds)
     while True:
-        sol = _maxmin_lp(n, rows)
-        lam, t = sol.primal[:n], sol.value
+        lam, t, duals = lp_max(n, rows)
         got, new = separate(lam)
         if got == t:
             break
@@ -234,22 +144,12 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
             raise VerificationError(
                 f"cutting-plane round made no progress at t = {t} (oracle minimum {got})")
         rows.extend(violated)
-    dual = [(s, y) for s, y in zip(rows, sol.dual_ub) if y]
+    dual = [(s, y) for s, y in zip(rows, duals) if y]
     total = sum((y for _, y in dual), ZERO)
     if total <= 0:
         raise VerificationError("LP dual has no positive mass")
     dual.sort(key=lambda p: sorted(p[0]))
     return tuple(lam), t, rows, [(s, y / total) for s, y in dual]
-
-
-def _maxmin_lp(n: int, rows: Sequence[frozenset[int]]) -> LPSolution:
-    # Variables: lam_0..lam_{n-1}, t. Maximize t subject to sum lam = 1 and
-    # t - lam(S) <= 0 for every row S.
-    ub = [([-1 if i in s else 0 for i in range(n)] + [1], 0) for s in rows]
-    sol = lp_max([0] * n + [1], [([1] * n + [0], 1)], ub)
-    if sol.status != "optimal":
-        raise VerificationError(f"cutting-plane LP ended {sol.status}")
-    return sol
 
 
 def verify_maxmin(n: int, weights: Sequence[Rat], value: Rat, minimum, support,

@@ -1,20 +1,34 @@
 """Reference exact LP: the dense two-phase tableau simplex over Fraction with
-Bland's rule that `regma.optimize.lp_max` must agree with. The fraction-free
-solver makes the same pivots, so both return equal LPSolutions; this one
-pays a gcd on every entry and recomputes every reduced cost at every step,
-so it is slow but plainly the textbook method."""
+Bland's rule, for LPs in general form. `regma.optimize.lp_max` solves only
+the max-min LP, from the basis that phase 1 here reaches on it in one
+pivot, and then makes the same pivots: on that LP both give equal weights,
+value and row duals. This one pays a gcd on every entry and recomputes
+every reduced cost at every step, so it is slow but plainly the textbook
+method."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from regma.errors import PreconditionError
 from regma.exact import Rat
-from regma.optimize import LPSolution
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+@dataclass(frozen=True)
+class LPSolution:
+    """status is 'optimal', 'infeasible', or 'unbounded'; at optimal the
+    primal/dual objective values agree exactly (strong duality)."""
+
+    status: str
+    primal: tuple[Rat, ...] = ()
+    dual_eq: tuple[Rat, ...] = ()
+    dual_ub: tuple[Rat, ...] = ()
+    value: Rat = ZERO
 
 
 def lp_max(objective: Sequence[Rat],

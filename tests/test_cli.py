@@ -212,6 +212,15 @@ class TestOthers:
                              "--check", str(cert))
         assert rc == 1 and "certificate FAILED" in err
 
+    @pytest.mark.parametrize("expr", ["graphic({})", "dual(graphic({}))"])
+    def test_involutions_of_no_elements(self, tmp_path, expr):
+        # one vertex, no edges: the uniform multiplicity 1/0 does not exist
+        gfile = tmp_path / "point"
+        gfile.write_text("1 0\n")
+        rc, out, err = run_cli("involutions6", expr.format(gfile))
+        assert (rc, out) == (1, "")
+        assert err.splitlines() == ["error: involutions6 of a matroid with no elements"]
+
     def test_reduce(self):
         rc, out, _ = run_cli("reduce", "builtin:g1")
         assert rc == 0
@@ -248,8 +257,8 @@ class TestOthers:
     def test_verify_tables_rank_below_one(self):
         # a range that checks nothing is refused, not reported as ok
         rc, out, err = run_cli("verify-tables", "--max-b", "0")
-        assert (rc, out) == (1, "")
-        assert err.splitlines() == ["error: tables are established for ranks 1 to 9"]
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == ["error: --max-b must be between 1 and 9, got 0"]
 
     def test_usage_error_exit_2(self):
         rc, _, _ = run_cli("systole")
@@ -307,6 +316,25 @@ class TestMalformedInput:
         rc, out, err = run_cli("verify-tables", "--max-b", "3", "--jobs", jobs)
         assert (rc, out) == (2, "")
         assert err.splitlines() == [f"error: --jobs must be at least 1, got {jobs}"]
+
+    @pytest.mark.parametrize("max_b", ["10", "-1"])
+    def test_max_b_out_of_range(self, max_b):
+        rc, out, err = run_cli("verify-tables", "--max-b", max_b)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: --max-b must be between 1 and 9, got {max_b}"]
+
+    @pytest.mark.parametrize("n", ["5", "2", "-4"])
+    def test_gen_cubic_bad_vertex_count(self, n):
+        rc, out, err = run_cli("gen-cubic", "--n", n)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: --n must be an even number of at least 4, got {n}"]
+
+    def test_gen_cubic_above_guard(self):
+        # a well-formed n past the enumeration guard is a computational
+        # refusal, not a usage error
+        rc, out, err = run_cli("gen-cubic", "--n", "18")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: generate_cubic: size 18 exceeds guard 16")
 
     def test_graph_file_bad_token(self, tmp_path):
         gfile = tmp_path / "g"

@@ -45,129 +45,86 @@ def brute_force_systole(g):
     return sol.value
 
 
-def random_lp(rng):
-    """A small LP with fractional coefficients and right-hand sides of both
-    signs. Most are feasible by construction at a random point x0 >= 0;
-    often an equality row is repeated (rescaled, possibly negated), so that
-    phase 1 ends degenerate and drives artificials out of the basis, some
-    of them on a negative pivot."""
-    def rat(lo=-5, hi=5):
-        return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3, 4, 6)))
-
-    n = rng.randint(1, 5)
-    x0 = [rat(0, 3) for _ in range(n)] if rng.random() < 0.7 else None
-
-    def rhs(a, slack):
-        return rat() if x0 is None else sum((p * q for p, q in zip(a, x0)), slack)
-
-    objective = [rat() for _ in range(n)]
-    eq = []
-    for _ in range(rng.randint(0, 3)):
-        a = [rat() for _ in range(n)]
-        eq.append((a, rhs(a, 0)))
-    if eq and rng.random() < 0.5:
-        a, b = rng.choice(eq)
-        k = rng.choice((-1, 1)) * rat(1, 4)
-        eq.append(([k * x for x in a], k * b))
-    ub = []
-    for _ in range(rng.randint(0, 5)):
-        a = [rat() for _ in range(n)]
-        ub.append((a, rhs(a, rat(0, 2))))
-    if rng.random() < 0.5:
-        ub.append(([ONE] * n, rat(1, 8) if x0 is None else sum(x0, rat(0, 2))))
-    return objective, eq, ub
+def random_family(rng):
+    """Rows of a max-min LP on n <= 6 items: random subsets, with repeated
+    rows, singletons and the full set mixed in, so that Bland's rule meets
+    ratio ties."""
+    n = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(1, 9)):
+        kind = rng.random()
+        if rows and kind < 0.2:
+            rows.append(rng.choice(rows))
+        elif kind < 0.35:
+            rows.append(frozenset({rng.randrange(n)}))
+        elif kind < 0.45:
+            rows.append(frozenset(range(n)))
+        else:
+            rows.append(frozenset(i for i in range(n) if rng.random() < 0.5)
+                        or frozenset({rng.randrange(n)}))
+    return n, rows
 
 
-def assert_same_solution(objective, eq, ub, sol):
-    want = oracle_lp.lp_max(objective, eq, ub)
-    assert sol == want and repr(sol) == repr(want), (objective, eq, ub)
+def assert_same_solution(n, rows, got):
+    """lp_max(n, rows) equals the general two-phase oracle on the same LP:
+    maximise t subject to sum lam = 1 and t - lam(S) <= 0 for each row."""
+    eq = [([ONE] * n + [0], ONE)]
+    ub = [([-1 if i in s else 0 for i in range(n)] + [1], 0) for s in rows]
+    want = oracle_lp.lp_max([0] * n + [1], eq, ub)
+    assert want.status == "optimal"
+    want = (want.primal[:n], want.value, want.dual_ub)
+    assert got == want and repr(got) == repr(want), (n, rows)
 
 
 class TestLP:
-    def test_simple_bound(self):
-        sol = lp_max([ONE], ub=[([ONE], ONE)])
-        assert sol.status == "optimal" and sol.value == 1
-
     def test_theta_lp(self):
         theta = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
         assert brute_force_systole(theta) == Fraction(2, 3)
 
-    def test_degenerate_redundant_equalities(self):
-        # duplicated constraints still terminate under Bland's rule
-        sol = lp_max([ONE, ONE],
-                     eq=[([ONE, ONE], ONE), ([ONE, ONE], ONE)],
-                     ub=[([ONE, Fraction(0)], Fraction(1, 2))] * 3)
-        assert sol.status == "optimal" and sol.value == 1
-
-    def test_infeasible(self):
-        sol = lp_max([ONE], eq=[([ONE], Fraction(-1))])
-        assert sol.status == "infeasible"
-
-    def test_unbounded(self):
-        assert lp_max([ONE]).status == "unbounded"
-
     def test_random_against_scipy(self, rng):
+        # the value agrees with HiGHS, and the duals form a distribution over
+        # rows whose largest load on an item is the value
         from scipy.optimize import linprog
 
         for trial in range(60):
-            n = rng.randint(1, 4)
-            cc = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-            ub = []
-            for _ in range(rng.randint(0, 4)):
-                ub.append(([Fraction(rng.randint(-3, 3)) for _ in range(n)],
-                           Fraction(rng.randint(-4, 6))))
-            eq = []
-            for _ in range(rng.randint(0, 2)):
-                eq.append(([Fraction(rng.randint(-2, 2)) for _ in range(n)],
-                           Fraction(rng.randint(-2, 4))))
-            sol = lp_max(cc, eq=eq, ub=ub)
-            res = linprog([-float(x) for x in cc],
-                          A_ub=[[float(x) for x in a] for a, _ in ub] or None,
-                          b_ub=[float(b) for _, b in ub] or None,
-                          A_eq=[[float(x) for x in a] for a, _ in eq] or None,
-                          b_eq=[float(b) for _, b in eq] or None,
-                          bounds=[(0, None)] * n, method="highs")
-            if sol.status == "optimal":
-                assert res.status == 0
-                assert abs(float(sol.value) + res.fun) < 1e-7
-                # strong duality: dual objective equals primal value
-                dual_val = sum(y * b for y, (_, b) in zip(sol.dual_ub, ub))
-                dual_val += sum(y * b for y, (_, b) in zip(sol.dual_eq, eq))
-                assert dual_val == sol.value
-                assert all(y >= 0 for y in sol.dual_ub)
-                # dual feasibility: A^T y >= c
-                for j in range(n):
-                    lhs = sum(y * a[j] for y, (a, _) in zip(sol.dual_ub, ub))
-                    lhs += sum(y * a[j] for y, (a, _) in zip(sol.dual_eq, eq))
-                    assert lhs >= cc[j]
-            elif sol.status == "unbounded":
-                assert res.status == 3
-            else:
-                assert res.status == 2
+            n, rows = random_family(rng)
+            lam, t, duals = lp_max(n, rows)
+            res = linprog([0] * n + [-1],
+                          A_ub=[[-1 if i in s else 0 for i in range(n)] + [1] for s in rows],
+                          b_ub=[0] * len(rows), A_eq=[[1] * n + [0]], b_eq=[1],
+                          bounds=[(0, None)] * (n + 1), method="highs")
+            assert res.status == 0
+            assert abs(float(t) + res.fun) < 1e-7
+            assert all(x >= 0 for x in lam) and sum(lam) == 1
+            assert all(y >= 0 for y in duals) and sum(duals) == 1
+            load = [sum(y for s, y in zip(rows, duals) if i in s) for i in range(n)]
+            assert max(load) == t
+            assert min(sum(lam[i] for i in s) for s in rows) == t
 
 
 class TestLPOracle:
-    """The fraction-free lp_max makes the Fraction tableau's pivots, so its
-    LPSolution equals the oracle's: status, primal, both duals, value."""
+    """lp_max makes the Fraction tableau's phase-2 pivots from the basis its
+    phase 1 reaches, so weights, value and row duals equal the oracle's."""
 
     def test_random_lps(self):
         rng = random.Random(6060)
-        statuses = Counter()
+        seen = Counter()
         for _ in range(2500):
-            objective, eq, ub = random_lp(rng)
-            sol = lp_max(objective, eq, ub)
-            assert_same_solution(objective, eq, ub, sol)
-            statuses[sol.status] += 1
-        assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 200
+            n, rows = random_family(rng)
+            assert_same_solution(n, rows, lp_max(n, rows))
+            seen["repeated"] += len(set(rows)) < len(rows)
+            seen["singleton"] += any(len(s) == 1 for s in rows)
+            seen["full"] += frozenset(range(n)) in rows
+        assert min(seen.values()) >= 500
 
     def test_lps_of_the_solvers(self, monkeypatch):
         # every LP that systole and cogirth issue, recorded through a wrapper
         issued = []
 
-        def record(objective, eq=(), ub=()):
-            sol = lp_max(objective, eq, ub)
-            issued.append((objective, eq, ub, sol))
-            return sol
+        def record(n, ub):
+            got = lp_max(n, ub)
+            issued.append((n, list(ub), got))
+            return got
 
         monkeypatch.setattr(optimize, "lp_max", record)
         systole(catalog("petersen"))
@@ -175,8 +132,8 @@ class TestLPOracle:
         cogirth(r10())
         cogirth(cographic(catalog("petersen")))
         assert len(issued) > 20
-        for objective, eq, ub, sol in issued:
-            assert_same_solution(objective, eq, ub, sol)
+        for n, rows, got in issued:
+            assert_same_solution(n, rows, got)
 
 
 class TestSystole:
@@ -426,14 +383,22 @@ class TestMaxMin:
         # (the engine used to grow the LP without end here)
         calls = []
 
-        def stale(objective, eq, ub):
+        def stale(n, ub):
             calls.append(len(ub))
-            return lp_max(objective, eq, ub[:calls[0]])
+            return lp_max(n, ub[:calls[0]])
 
         monkeypatch.setattr(optimize, "lp_max", stale)
         with pytest.raises(VerificationError, match="no progress"):
             systole(catalog("petersen"))
         assert len(calls) <= 3
+
+    def test_empty_seeds_rejected(self):
+        # the LP over no rows is unbounded; the engine needs a first row
+        def separate(lam):
+            raise AssertionError("no LP was solved, so nothing to separate")
+
+        with pytest.raises(PreconditionError):
+            solve_maxmin(3, [], separate)
 
 
 class TestCOfRep:

@@ -27,22 +27,46 @@ def _perfbench_constant(filename, name):
     raise LookupError(f"{name} not assigned in perfbench/{filename}")
 
 
+# Arguments the tracer reads by name, not by position: rows_max sums the
+# lengths of lp_max's eq and ub (one is enough), and the subset count reads
+# odd_determinant_check's h. Under another name rows_max silently reads 0.
+ARGUMENTS_READ_BY_NAME = {
+    "optimize.lp_max": {"eq", "ub"},
+    "exact.odd_determinant_check": {"h"},
+}
+
+
+def _top_level_def(name):
+    """The ast.FunctionDef of "<module>.<function>" in src/regma, or None."""
+    module, function = name.split(".")
+    path = SRC / f"{module}.py"
+    if not path.exists():
+        return None
+    return next((node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.FunctionDef) and node.name == function), None)
+
+
 def test_benchmark_layers_exist():
     # the traced benchmark wraps these functions by name, so removing or
     # renaming one breaks it; each must stay a top-level def of its module
+    # and keep the parameter names the tracer reads
     layers = set(_perfbench_constant("tracer.py", "LAYERS"))
     for names in _perfbench_constant("run.py", "EXERCISED").values():
         layers.update(names)
     assert len(layers) > 10
-    missing = []
-    for name in sorted(layers):
-        module, function = name.split(".")
-        path = SRC / f"{module}.py"
-        defs = ({node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
-                 if isinstance(node, ast.FunctionDef)} if path.exists() else set())
-        if function not in defs:
-            missing.append(name)
-    assert missing == []
+    defs = {name: _top_level_def(name) for name in sorted(layers)}
+    assert [name for name, fn in defs.items() if fn is None] == []
+    tracer = ast.parse((SRC.parent.parent / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    literals = {node.value for node in ast.walk(tracer)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    renamed = []
+    for name, arguments in ARGUMENTS_READ_BY_NAME.items():
+        assert arguments <= literals, f"the tracer no longer reads {name}'s {arguments}"
+        fn = defs[name]
+        if not arguments & {a.arg for a in fn.args.posonlyargs + fn.args.args
+                            + fn.args.kwonlyargs}:
+            renamed.append(name)
+    assert renamed == []
 
 
 def test_private_functions_have_callers():
