@@ -8,13 +8,19 @@ Rationals are fractions.Fraction values (always stored reduced with a
 positive denominator, so equality is bit-exact). Integer matrices are
 immutable row-major tuples. F2 matrices pack one Python int per row,
 bit j = column j.
+
+Each job is done once, here. `det` and `rank_q` share one fraction-free
+(Bareiss) elimination; `matroid` pushes weights forward by Cramer's rule
+over `det` and tests parallel columns by `rank_q`. `scale_to_ints` puts
+rationals over their least common denominator, for the integer loops of
+the Gray-code dual-vector walk and the minimum-cycle search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import DimensionError, RankDeficientError
@@ -125,18 +131,7 @@ class BitMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "BitMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        words = []
-        for r in rows:
-            if len(r) != ncols:
-                raise DimensionError("ragged rows")
-            word = 0
-            for j, v in enumerate(r):
-                if int(v) & 1:
-                    word |= 1 << j
-            words.append(word)
-        return BitMatrix(nrows, ncols, tuple(words))
+        return IntMatrix.from_rows(rows).mod2()
 
     def at(self, i: int, j: int) -> int:
         return (self.bits[i] >> j) & 1
@@ -193,54 +188,55 @@ def f2_rank_words(words: list[int]) -> int:
     return rank
 
 
+def _bareiss(m: IntMatrix) -> tuple[int, int]:
+    """Fraction-free Gaussian elimination (Bareiss 1968): (rank over Q,
+    ± the last pivot). Each update divides exactly by the previous pivot, so
+    every entry stays a minor of m instead of doubling in length with each
+    eliminated row. The sign follows the row swaps, so for a nonsingular
+    square m the second value is det(m)."""
+    rows, cols = m.rows, m.cols
+    a = [list(m.row(i)) for i in range(rows)]
+    rank, sign, prev = 0, 1, 1
+    for col in range(cols):
+        if rank == rows:
+            break
+        if not a[rank][col]:
+            pivot = next((i for i in range(rank + 1, rows) if a[i][col]), None)
+            if pivot is None:
+                continue
+            a[rank], a[pivot] = a[pivot], a[rank]
+            sign = -sign
+        pr = a[rank]
+        p = pr[col]
+        rest = range(col + 1, cols)
+        for i in range(rank + 1, rows):
+            ri = a[i]
+            f = ri[col]
+            for j in rest:
+                ri[j] = (p * ri[j] - f * pr[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign * prev
+
+
 def det(m: IntMatrix):
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant by Bareiss elimination."""
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(m.row(i)) for i in range(n)]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    return sign * a[n - 1][n - 1]
+    rank, last = _bareiss(m)
+    return last if rank == m.rows else 0
 
 
 def rank_q(m: IntMatrix) -> int:
-    """Rank over the rationals (integer fraction-free elimination)."""
-    a = [list(m.row(i)) for i in range(m.rows)]
-    rank = 0
-    col = 0
-    while rank < m.rows and col < m.cols:
-        pivot = next((i for i in range(rank, m.rows) if a[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pr = a[rank]
-        for i in range(rank + 1, m.rows):
-            if a[i][col]:
-                f1, f2 = pr[col], a[i][col]
-                a[i] = [f1 * x - f2 * y for x, y in zip(a[i], pr)]
-        rank += 1
-        col += 1
-    return rank
+    """Rank over the rationals by Bareiss elimination."""
+    return _bareiss(m)[0]
+
+
+def scale_to_ints(values: Sequence[Rat | int]) -> tuple[int, list[int]]:
+    """(L, L·values) for L the least common multiple of the denominators of
+    the rationals (or ints) in values."""
+    den = lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
 
 
 @dataclass(frozen=True)
@@ -344,11 +340,12 @@ def kernel_lattice_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a lattice basis of {x in Z^cols : m·x = 0}, in Hermite
     normal form. Row-reducing [mᵀ | I] over Z is a unimodular change of
     rows; those whose mᵀ part vanishes carry in their I part a basis of that
-    lattice, and a Hermite form is unique for its lattice."""
+    lattice. They are the last rows of the Hermite form, reduced against one
+    another, so that part already is the lattice's (unique) Hermite basis."""
     r, n = m.rows, m.cols
     aug = IntMatrix.from_rows([[*m.col(j), *(int(i == j) for i in range(n))]
                                for j in range(n)])
     kernel = [row[r:] for row in hermite_row_form(aug).to_rows() if not any(row[:r])]
     if not kernel:
         return IntMatrix(n, 0, ())
-    return hermite_row_form(IntMatrix.from_rows(kernel)).transpose()
+    return IntMatrix.from_rows(kernel).transpose()

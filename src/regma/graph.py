@@ -27,11 +27,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 from typing import Sequence
 
 from .errors import (AcyclicGraphError, DisconnectedGraphError, InputError,
                      PreconditionError, VerificationError, check_guard)
+from .exact import scale_to_ints
 
 INFINITY = float("inf")
 
@@ -322,8 +322,7 @@ def min_cycles_per_edge(g: MultiGraph, w: Sequence[Fraction]
     scale keeps every order and every tie, so the labels and the tie-break
     are those of the Fraction weights."""
     w = check_weights(g, w)
-    den = lcm(*(x.denominator for x in w))
-    iw = [x.numerator * (den // x.denominator) for x in w]
+    den, iw = scale_to_ints(w)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e, (u, v) in enumerate(g.edges):
         if u != v:

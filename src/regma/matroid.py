@@ -13,6 +13,11 @@ kept columns of both sides, block-diagonal, restricted to the integer
 lattice on which the glue rows vanish (_glue_lift), or, when a side has no
 lift or a 3-sum triple no signed zero sum, taken modulo the span of the
 glued vectors over F2 (_glue_f2). A 1-sum is the gluing without glue rows.
+
+The exact algebra is `exact`'s alone: a pushforward solves for its weights
+by Cramer's rule over `exact.det`, simplify tests merged columns for
+parallelism by `exact.rank_q`, and the lattices come from
+`exact.kernel_lattice_basis`.
 """
 
 from __future__ import annotations
@@ -69,8 +74,7 @@ class BinaryMatroid:
         return self.rep.col_masks()
 
     def is_independent(self, subset: Sequence[int]) -> bool:
-        cols = self.columns
-        return f2_rank_words([cols[i] for i in subset]) == len(subset)
+        return self.subset_rank(subset) == len(subset)
 
     def subset_rank(self, subset: Sequence[int]) -> int:
         cols = self.columns
@@ -434,61 +438,53 @@ def odd_transform(r: WeightedRep, step) -> WeightedRep:
     """Apply one step of the odd-equivalence moves: pull weights back along
     an odd-determinant lattice map, rescale columns by odd integers, push
     forward along an odd-determinant map (must stay integral), or divide
-    columns by odd integers exactly."""
+    columns by odd integers exactly.
+
+    A pushforward along a solves aᵀx = h by Cramer's rule: entry (i, j) is
+    det(a with row i replaced by column j of h) / det(a), exactly."""
     h = r.h
     if isinstance(step, Pullback):
-        a = step.a
-        if a.rows != a.cols or a.rows != h.rows or det(a) % 2 == 0:
-            raise PreconditionError("pullback needs a square odd-determinant map")
-        new = a.transpose().mul(h)
+        _odd_map(step.a, h, "pullback")
+        new = step.a.transpose().mul(h)
     elif isinstance(step, Scale):
-        if len(step.factors) != h.cols or any(f % 2 == 0 for f in step.factors):
-            raise PreconditionError("scale factors must be odd, one per column")
-        new = IntMatrix.from_rows(
-            [[h.at(i, j) * step.factors[j] for j in range(h.cols)]
-             for i in range(h.rows)])
+        f = _odd_factors(step.factors, h, "scale factors")
+        new = IntMatrix(h.rows, h.cols,
+                        tuple(x * f[k % h.cols] for k, x in enumerate(h.entries)))
     elif isinstance(step, Pushforward):
-        a = step.a
-        dta = det(a) if a.rows == a.cols == h.rows else 0
-        if dta == 0 or dta % 2 == 0:
-            raise PreconditionError("pushforward needs a square odd-determinant map")
-        at = a.transpose()
-        adj_rows = _inverse_times_det(at)
-        raw = adj_rows.mul(h)
-        if any(x % dta for x in raw.entries):
-            raise PreconditionError("pushforward does not preserve integrality")
-        new = IntMatrix(raw.rows, raw.cols,
-                        tuple(x // dta for x in raw.entries))
-    elif isinstance(step, Divide):
-        if len(step.divisors) != h.cols or any(f % 2 == 0 for f in step.divisors):
-            raise PreconditionError("divisors must be odd, one per column")
+        dta = _odd_map(step.a, h, "pushforward")
+        rows, cols = step.a.to_rows(), h.transpose().to_rows()
         entries = []
         for i in range(h.rows):
-            for j in range(h.cols):
-                x = h.at(i, j)
-                f = step.divisors[j]
-                if x % f:
-                    raise PreconditionError("inexact division of a weight column")
-                entries.append(x // f)
+            for c in cols:
+                x, rest = divmod(det(IntMatrix.from_rows(rows[:i] + [c] + rows[i + 1:])), dta)
+                if rest:
+                    raise PreconditionError("pushforward does not preserve integrality")
+                entries.append(x)
         new = IntMatrix(h.rows, h.cols, tuple(entries))
+    elif isinstance(step, Divide):
+        f = _odd_factors(step.divisors, h, "divisors")
+        if any(x % f[k % h.cols] for k, x in enumerate(h.entries)):
+            raise PreconditionError("inexact division of a weight column")
+        new = IntMatrix(h.rows, h.cols,
+                        tuple(x // f[k % h.cols] for k, x in enumerate(h.entries)))
     else:
         raise PreconditionError(f"unknown transform step {step!r}")
     return WeightedRep(new, r.mult)
 
 
-def _inverse_times_det(a: IntMatrix) -> IntMatrix:
-    """Adjugate of a (integer matrix with adj(a)·a = det(a)·I)."""
-    n = a.rows
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            sub = [[a.at(r, c) for c in range(n) if c != i]
-                   for r in range(n) if r != j]
-            sign = -1 if (i + j) % 2 else 1
-            row.append(sign * (det(IntMatrix.from_rows(sub)) if n > 1 else 1))
-        out.append(row)
-    return IntMatrix.from_rows(out)
+def _odd_map(a: IntMatrix, h: IntMatrix, move: str) -> int:
+    """det(a), for a square map on the weight lattice of h with odd determinant."""
+    dta = det(a) if a.rows == a.cols == h.rows else 0
+    if dta % 2 == 0:
+        raise PreconditionError(f"{move} needs a square odd-determinant map")
+    return dta
+
+
+def _odd_factors(factors: Sequence[int], h: IntMatrix, what: str) -> Sequence[int]:
+    """factors, when they are odd and there is one per column of h."""
+    if len(factors) != h.cols or any(f % 2 == 0 for f in factors):
+        raise PreconditionError(f"{what} must be odd, one per column")
+    return factors
 
 
 def simplify(m: BinaryMatroid) -> tuple[BinaryMatroid, list[int | None]]:
@@ -505,7 +501,7 @@ def simplify(m: BinaryMatroid) -> tuple[BinaryMatroid, list[int | None]]:
         if c in first_with:
             k = first_with[c]
             mapping[j] = mapping[k]
-            if m.lift is not None and not _parallel_over_q(m.lift, k, j):
+            if m.lift is not None and rank_q(m.lift.select_cols([k, j])) != 1:
                 raise PreconditionError(
                     f"columns {k} and {j} equal over F2 but not parallel over Q")
             continue
@@ -522,16 +518,6 @@ def simplify(m: BinaryMatroid) -> tuple[BinaryMatroid, list[int | None]]:
         rep = BitMatrix(len(keep), m.rank,
                         tuple(rep.bits[j] for j in keep)).transpose()
     return BinaryMatroid(labels, rep, lift, ("simplify", m.provenance)), mapping
-
-
-def _parallel_over_q(lift: IntMatrix, j1: int, j2: int) -> bool:
-    c1, c2 = lift.col(j1), lift.col(j2)
-    # Cross-ratio test: c1 and c2 parallel iff all 2x2 minors vanish.
-    for i in range(len(c1)):
-        for k in range(i + 1, len(c1)):
-            if c1[i] * c2[k] - c1[k] * c2[i]:
-                return False
-    return True
 
 
 def isomorphic(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[int, int] | None:

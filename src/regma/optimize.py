@@ -21,29 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .errors import (AcyclicGraphError, PreconditionError, VerificationError,
                      check_guard)
-from .exact import Rat
+from .exact import Rat, scale_to_ints
 from .graph import (Cycle, EdgeWeights, MultiGraph, betti, check_weights,
                     min_cycle_value, min_cycles_per_edge, min_weight_cycle)
 from .matroid import BinaryMatroid, WeightedRep
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _int_row(values: Sequence[Rat]) -> tuple[int, list[int]]:
-    """(L, L * values) for L the least common multiple of the denominators."""
-    vals = [x if type(x) is int else Fraction(x) for x in values]
-    scale = 1
-    for x in vals:
-        if type(x) is not int and scale % x.denominator:
-            scale = scale // gcd(scale, x.denominator) * x.denominator
-    return scale, [x * scale if type(x) is int else x.numerator * (scale // x.denominator)
-                   for x in vals]
 
 
 def lp_max(n: int, ub: Sequence[frozenset[int]]) -> tuple[tuple[Rat, ...], Rat, tuple[Rat, ...]]:
@@ -144,12 +132,10 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
             raise VerificationError(
                 f"cutting-plane round made no progress at t = {t} (oracle minimum {got})")
         rows.extend(violated)
-    dual = [(s, y) for s, y in zip(rows, duals) if y]
-    total = sum((y for _, y in dual), ZERO)
-    if total <= 0:
-        raise VerificationError("LP dual has no positive mass")
-    dual.sort(key=lambda p: sorted(p[0]))
-    return tuple(lam), t, rows, [(s, y / total) for s, y in dual]
+    # Rows are nonempty, so t > 0 is basic at the optimum and its reduced
+    # cost 1 - sum y is 0: the duals already form a distribution.
+    dual = sorted(((s, y) for s, y in zip(rows, duals) if y), key=lambda p: sorted(p[0]))
+    return tuple(lam), t, rows, dual
 
 
 def verify_maxmin(n: int, weights: Sequence[Rat], value: Rat, minimum, support,
@@ -281,7 +267,7 @@ def _gray_min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tu
     """_min_dual_vector for d >= 1 by a Gray-code walk: with lam scaled to
     integers over one denominator D, flipping bit k of v changes f_lam(v)
     only on the columns that have bit k, each joining or leaving the sum."""
-    den, weights = _int_row(lam)
+    den, weights = scale_to_ints(lam)
     merged: dict[int, int] = {}
     for c, w in zip(cols, weights):
         if c:

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -12,7 +14,7 @@ import oracle_odd_det
 from oracle_lattice import smith_normal_form
 from regma.exact import (IntMatrix, det, format_rat, hermite_row_form,
                          kernel_lattice_basis, odd_determinant_check,
-                         parse_rat, rank_f2, rank_q)
+                         parse_rat, rank_f2, rank_q, scale_to_ints)
 from regma.matroid import R10_ROWS
 
 R10 = IntMatrix.from_rows([list(r) for r in R10_ROWS])
@@ -75,6 +77,26 @@ class TestRanks:
     @settings(max_examples=50, deadline=None)
     def test_matches_sympy(self, m):
         assert rank_q(m) == sympy.Matrix(m.to_rows()).rank()
+
+    @pytest.mark.parametrize("rank", [24, 11])
+    def test_wide_matrix_in_well_under_a_second(self, rank):
+        # exact-division elimination keeps the entries minors of m; the
+        # division-free update doubled their length with every row and took
+        # tens of seconds on a full-rank 24 x 90 matrix
+        from sympy.polys.matrices import DomainMatrix
+        from sympy import ZZ
+
+        rng = random.Random(2490 + rank)
+        basis = [[rng.choice((0, 1, -1, 2)) for _ in range(90)] for _ in range(rank)]
+        coeff = [[rng.choice((0, 1, -1, 2)) for _ in range(rank)] for _ in range(24)]
+        rows = basis if rank == 24 else [
+            [sum(c * b[j] for c, b in zip(cs, basis)) for j in range(90)] for cs in coeff]
+        m = IntMatrix.from_rows(rows)
+        start = time.perf_counter()
+        got = rank_q(m)
+        assert time.perf_counter() - start < 0.5
+        want = DomainMatrix([[ZZ(x) for x in r] for r in rows], (24, 90), ZZ).to_field().rank()
+        assert got == want == rank
 
 
 class TestOddDeterminant:
@@ -320,3 +342,18 @@ class TestRationals:
     @settings(max_examples=50, deadline=None)
     def test_parse_format(self, q):
         assert parse_rat(format_rat(q)) == q
+
+
+class TestScaleToInts:
+    def test_matches_fraction_arithmetic(self):
+        # seeded mixes of ints and Fractions, and the empty list
+        rng = random.Random(1717)
+        assert scale_to_ints([]) == (1, [])
+        for _ in range(500):
+            values = [rng.randint(-9, 9) if rng.random() < 0.3
+                      else Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+                      for _ in range(rng.randint(1, 8))]
+            den, ints = scale_to_ints(values)
+            assert all(type(x) is int for x in ints)
+            assert ints == [x * den for x in values]
+            assert den == lcm(*(Fraction(v).denominator for v in values))

@@ -438,6 +438,14 @@ class TestSimplify:
         assert mapping == [0, 1, 2, 0, None]
         assert s.labels == ("a", "b", "c")
 
+    def test_lift_not_parallel_over_q(self, tmp_path):
+        # columns (1,0) and (1,2) agree mod 2 but span a plane over Q
+        path = tmp_path / "m.txt"
+        path.write_text("2 3\n110\n001\nLIFT\n1 1 0\n0 2 1\n")
+        with pytest.raises(PreconditionError,
+                           match="columns 0 and 1 equal over F2 but not parallel over Q"):
+            simplify(parse_matroid_expr(f"file:{path}"))
+
     def test_cographic_bridge_trivial(self):
         # a bridge gives a zero cohomology class: same simplification as the
         # contracted graph
@@ -467,6 +475,57 @@ class TestOddTransform:
                                  [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
                                  [0, 0, 0, 0, 1]])
         assert odd_transform(odd_transform(r, Pullback(a)), Pushforward(a)).h.entries == r.h.entries
+
+    def test_pushforward_rejects_even_and_non_square_maps(self):
+        r = WeightedRep.uniform(r10().lift)
+        even = IntMatrix.from_rows([[2 if i == j == 0 else int(i == j) for j in range(5)]
+                                    for i in range(5)])
+        wide = IntMatrix.from_rows([[int(i == j) for j in range(6)] for i in range(5)])
+        for a in (even, wide, IntMatrix.identity(4)):
+            with pytest.raises(PreconditionError,
+                               match="pushforward needs a square odd-determinant map"):
+                odd_transform(r, Pushforward(a))
+
+    def test_pullback_rejects_non_square_map(self):
+        r = WeightedRep.uniform(r10().lift)
+        wide = IntMatrix.from_rows([[int(i == j) for j in range(6)] for i in range(5)])
+        with pytest.raises(PreconditionError,
+                           match="pullback needs a square odd-determinant map"):
+            odd_transform(r, Pullback(wide))
+
+    def test_pushforward_must_stay_integral(self):
+        # diag(3,1,1,1,1) has odd determinant, but R10's first row is not
+        # divisible by 3
+        r = WeightedRep.uniform(r10().lift)
+        a = IntMatrix.from_rows([[3 if i == j == 0 else int(i == j) for j in range(5)]
+                                 for i in range(5)])
+        with pytest.raises(PreconditionError,
+                           match="pushforward does not preserve integrality"):
+            odd_transform(r, Pushforward(a))
+
+    def test_pushforward_against_sympy_inverse(self):
+        # seeded odd-determinant maps on R10's lift: a pullback is undone by
+        # the pushforward, and a pushforward that stays integral is (aᵀ)⁻¹h
+        import sympy
+
+        rng = random.Random(1919)
+        r = WeightedRep.uniform(r10().lift)
+        h = sympy.Matrix(r.h.to_rows())
+        integral = 0
+        for _ in range(60):
+            while True:
+                a = IntMatrix(5, 5, tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(25)))
+                if sympy.Matrix(a.to_rows()).det() % 2:
+                    break
+            assert odd_transform(odd_transform(r, Pullback(a)), Pushforward(a)).h == r.h
+            want = sympy.Matrix(a.to_rows()).T.inv() * h
+            if all(x.is_integer for x in want):
+                integral += 1
+                assert odd_transform(r, Pushforward(a)).h.to_rows() == want.tolist()
+            else:
+                with pytest.raises(PreconditionError, match="integrality"):
+                    odd_transform(r, Pushforward(a))
+        assert 5 <= integral <= 55
 
     def test_scale_keeps_odd_check(self, k4):
         r = WeightedRep.uniform(graphic(k4).lift)

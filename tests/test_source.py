@@ -1,6 +1,7 @@
 """Rules on the library's source text."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "regma"
@@ -15,6 +16,20 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_stdlib_only():
+    # the core has no dependencies: every absolute import in src/regma is
+    # of a standard-library module (relative imports are the package's own)
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert {"fractions", "dataclasses"} <= found
+    assert sorted(found - sys.stdlib_module_names) == []
 
 
 def _perfbench_constant(filename, name):
