@@ -18,6 +18,11 @@ child deduplicated by canonical form:
   blob (K4 with one edge subdivided) hangs by the bridge r-p. Without it
   two blobs joined by a bridge (n = 10) are never reached.
 
+H-insertion alone grows the 3-edge-connected class from K4 (Tutte's edge
+insertion; Brinkmann, Goedgebeur & McKay 2011). The diamond and blob moves
+add exactly the graphs with a 2-edge cut or a bridge: each makes one, and
+every move at a parent with one keeps it.
+
 Each move is applied only at the least edge (diamond, blob) or least edge
 pair (H-insertion), in `combinations` order, of each orbit of the parent's
 automorphism group on edges (McKay 1998, "Isomorph-free exhaustive
@@ -29,8 +34,8 @@ quarter of the canonical labellings.
 
 Completeness over the whole guarded range n <= 16 is shown by exhaustion:
 the counts equal the known totals (1, 2, 5, 19, 85, 509, 4060 for
-n = 4..16) and the canonical forms are distinct. The test suite also ties
-the generated set to the independent labeled pair-model count.
+n = 4..16; 1, 2, 4, 14, 57, 341, 2828 3-edge-connected) and the canonical
+forms are distinct. Tests tie the set to the labeled pair-model count.
 """
 
 from __future__ import annotations
@@ -189,13 +194,8 @@ def automorphisms(g: MultiGraph) -> list[tuple[int, ...]]:
     the other is an automorphism, and every automorphism carries the search
     tree onto itself, so the canonical ordering's image is one of them."""
     orders = _minimal_orders(g)
-    out = []
-    for order in orders:
-        p = [0] * g.n
-        for v, w in zip(orders[0], order):
-            p[v] = w
-        out.append(tuple(p))
-    return sorted(out)
+    pos = {v: i for i, v in enumerate(orders[0])}
+    return sorted(tuple(order[pos[v]] for v in range(g.n)) for order in orders)
 
 
 def _orbit_leaders(g: MultiGraph, k: int) -> Iterator[tuple[int, ...]]:
@@ -261,24 +261,23 @@ def _blob_insertions(g: MultiGraph,
         yield MultiGraph(n + 6, tuple(edges))
 
 
-@lru_cache(maxsize=None)
-def _connected_cubic(n: int) -> tuple[MultiGraph, ...]:
-    """All connected cubic simple graphs on n vertices, one per isomorphism
-    class, sorted by canonical form.
+# (vertices added, move, edges per site); 3-edge-connected uses the first
+_MOVES = ((2, _h_insertions, 2), (4, _diamond_insertions, 1),
+          (6, _blob_insertions, 1))
 
-    Each class keeps its first child. Moves run at orbit leaders only: a
-    child made at another member of an orbit is isomorphic to the one made
-    earlier at its leader, so the first child of each class is made at a
-    leader and is the one kept when every member is tried."""
+
+@lru_cache(maxsize=None)
+def _cubic(n: int, three_connected: bool) -> tuple[MultiGraph, ...]:
+    """Connected cubic simple graphs on n vertices (3-edge-connected ones, by
+    H-insertion alone, if three_connected), one per class, by canonical form."""
     if n == 4:
         k4 = MultiGraph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
         return (k4,)
     seen: dict[str, MultiGraph] = {}
-    for step, move, size in ((2, _h_insertions, 2), (4, _diamond_insertions, 1),
-                             (6, _blob_insertions, 1)):
+    for step, move, size in _MOVES[:1] if three_connected else _MOVES:
         if n - step < 4:
             continue
-        for parent in _connected_cubic(n - step):
+        for parent in _cubic(n - step, three_connected):
             for child in move(parent, _orbit_leaders(parent, size)):
                 seen.setdefault(canonical_form(child), child)
     return tuple(seen[k] for k in sorted(seen))
@@ -288,16 +287,14 @@ def generate_cubic(n: int, min_girth: int = 3,
                    three_edge_connected: bool = False) -> Iterator[MultiGraph]:
     """Stream every connected cubic simple graph on n vertices satisfying the
     filters, exactly once up to isomorphism."""
-    if n % 2:
-        raise PreconditionError("cubic graphs need an even vertex count")
-    if n < 4:
-        raise PreconditionError("generate_cubic needs n >= 4")
+    if n % 2 or n < 4:
+        raise PreconditionError("generate_cubic needs an even n >= 4")
     check_guard(n, 16, "generate_cubic")
-    for g in _connected_cubic(n):
+    for g in _cubic(n, three_edge_connected):
         if betti(g) != n // 2 + 1:
             raise VerificationError(f"generated graph has Betti number {betti(g)}")
-        if girth(g) < min_girth:
-            continue
         if three_edge_connected and not is_three_edge_connected(g):
+            raise VerificationError("generated graph is not 3-edge-connected")
+        if girth(g) < min_girth:
             continue
         yield g

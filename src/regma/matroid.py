@@ -57,7 +57,8 @@ class BinaryMatroid:
         if self.lift is not None:
             if (self.lift.rows, self.lift.cols) != (d, n):
                 raise PreconditionError("lift shape mismatch")
-            if self.lift.mod2().rref().bits != self.rep.rref().bits:
+            mod2 = self.lift.mod2()
+            if mod2 != self.rep and mod2.rref().bits != self.rep.rref().bits:
                 raise PreconditionError("lift mod 2 must span the same row space")
 
     @property
@@ -360,14 +361,15 @@ class WeightedRep:
         if total == 0:
             raise PreconditionError("total multiplicity must be positive")
         object.__setattr__(self, "mult", tuple(x / total for x in mult))
-        if rank_q(self.h) != self.h.rows:
-            raise RankDeficientError("weight columns must span (rank d)")
-        if comb(self.h.cols, self.h.rows) <= ODD_CHECK_BUDGET:
-            verdict = odd_determinant_check(self.h)
-            if not verdict.ok:
-                raise PreconditionError(
-                    f"weight matrix violates the odd-determinant condition at "
-                    f"{verdict.violation} (det {verdict.determinant})")
+        if comb(self.h.cols, self.h.rows) > ODD_CHECK_BUDGET:
+            if rank_q(self.h) != self.h.rows:
+                raise RankDeficientError("weight columns must span (rank d)")
+            return
+        verdict = odd_determinant_check(self.h)  # also the rank test
+        if not verdict.ok:
+            raise PreconditionError(
+                f"weight matrix violates the odd-determinant condition at "
+                f"{verdict.violation} (det {verdict.determinant})")
 
     @staticmethod
     def uniform(h: IntMatrix) -> "WeightedRep":

@@ -14,6 +14,11 @@ from regma.cubicgen import (_blob_insertions, _diamond_insertions,
                             _h_insertions, canonical_form)
 from regma.graph import MultiGraph
 
+# Isomorphism classes of connected and of 3-edge-connected cubic simple
+# graphs on n vertices (OEIS A002851 and A204198).
+KNOWN_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
+THREE_CONNECTED_COUNTS = {4: 1, 6: 2, 8: 4, 10: 14, 12: 57, 14: 341, 16: 2828}
+
 
 def all_labeled_cubic_graphs(n: int):
     """Yield every simple cubic graph on labeled vertices 0..n-1 as a sorted

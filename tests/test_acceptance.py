@@ -10,7 +10,7 @@ from itertools import combinations
 import pytest
 
 from conftest import random_connected_multigraph
-from oracle_cubic import labeled_connected_cubic_count
+from oracle_cubic import KNOWN_COUNTS, labeled_connected_cubic_count
 from regma.catalog import NAMED_CYCLE_MODES, catalog, named_cycle
 from regma.cubicgen import automorphisms, canonical_form, generate_cubic
 from regma.exact import IntMatrix, odd_determinant_check
@@ -85,12 +85,20 @@ def test_criterion_2_exhaustive_b3_to_b7(exhaustive_small):
 @pytest.mark.slow
 def test_criterion_2_exhaustive_b8():
     best = Fraction(0)
+    argmax = []
     count = 0
     for g in generate_cubic(14, three_edge_connected=True):
         count += 1
-        best = max(best, systole(g).value)
+        v = systole(g).value
+        if v > best:
+            best, argmax = v, [g]
+        elif v == best:
+            argmax.append(g)
     assert best == S_TABLE[8] == Fraction(2, 7)
-    report("2 (exhaustive b=8)", f"max over {count} graphs is 2/7")
+    assert count == 341
+    assert [canonical_form(g) for g in argmax] == [canonical_form(catalog("heawood"))]
+    report("2 (exhaustive b=8)", f"max over {count} graphs is 2/7, attained by "
+           "Heawood only")
 
 
 @pytest.mark.slow
@@ -106,7 +114,10 @@ def test_criterion_2_exhaustive_b9():
         elif v == best:
             argmax.append(g)
     assert best == S_TABLE[9] == Fraction(1, 4)
+    assert count == 2828
     kinds = sorted(canonical_form(g) for g in argmax)
+    assert len(kinds) == 24
+    assert canonical_form(catalog("moebius_kantor")) in kinds
     report("2 (exhaustive b=9)",
            f"max over {count} graphs is 1/4, attained by {len(kinds)} graphs "
            f"(girths {sorted({girth(g) for g in argmax})})")
@@ -329,9 +340,6 @@ def test_criterion_9_embedding_bound():
         planar_checks += 1
     report("9 (embedding bound)",
            f"{checks} certificates + {planar_checks} random planar graphs")
-
-
-KNOWN_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
 
 
 def test_criterion_10_generator_completeness():

@@ -179,6 +179,12 @@ class TestOthers:
         blocks = [b for b in out.strip().split("\n\n") if b.strip()]
         assert len(blocks) == 2
 
+    def test_gen_cubic_three_connected(self):
+        rc, out, err = run_cli("gen-cubic", "--n", "10", "--three-connected")
+        assert rc == 0 and "14 graphs" in err
+        blocks = [b for b in out.strip().split("\n\n") if b.strip()]
+        assert len(blocks) == 14
+
     def test_involutions(self):
         rc, out, _ = run_cli("involutions6", "cographic(builtin:petersen)")
         assert rc == 0

@@ -7,15 +7,14 @@ import oracle_automorphisms
 import oracle_canonical
 import oracle_cubic
 from conftest import random_connected_multigraph
-from oracle_cubic import (all_labeled_cubic_graphs, is_connected_edges,
+from oracle_cubic import (KNOWN_COUNTS, THREE_CONNECTED_COUNTS,
+                          all_labeled_cubic_graphs, is_connected_edges,
                           labeled_connected_cubic_count)
 from regma import cubicgen
 from regma.catalog import catalog
 from regma.cubicgen import automorphisms, canonical_form, generate_cubic
-from regma.errors import PreconditionError
+from regma.errors import PreconditionError, VerificationError
 from regma.graph import MultiGraph, betti, girth, is_three_edge_connected
-
-KNOWN_COUNTS = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509, 16: 4060}
 
 
 def has_loop_or_parallel(g):
@@ -163,7 +162,7 @@ class TestOrbitPruning:
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12,
                                    pytest.param(14, marks=pytest.mark.slow)])
     def test_same_graphs_as_unpruned(self, n):
-        got = [(g.n, g.edges) for g in cubicgen._connected_cubic(n)]
+        got = [(g.n, g.edges) for g in cubicgen._cubic(n, False)]
         assert got == [(g.n, g.edges) for g in oracle_cubic.connected_cubic(n)]
 
     def test_k4_children(self, k4):
@@ -174,13 +173,14 @@ class TestOrbitPruning:
 
     def test_one_leader_per_orbit(self):
         for n in (4, 6, 8, 10):
-            for g in cubicgen._connected_cubic(n):
+            for g in cubicgen._cubic(n, False):
                 for k in (1, 2):
                     leaders = list(cubicgen._orbit_leaders(g, k))
                     assert leaders == sorted(leaders)
                     assert len(leaders) == edge_set_orbit_count(g, k)
 
-    def test_canonical_form_calls(self, monkeypatch):
+    @staticmethod
+    def canonical_form_calls(monkeypatch, three_connected):
         calls = []
 
         def count(g):
@@ -188,9 +188,15 @@ class TestOrbitPruning:
             return canonical_form(g)
 
         monkeypatch.setattr(cubicgen, "canonical_form", count)
-        cubicgen._connected_cubic.cache_clear()
-        cubicgen._connected_cubic(12)  # and n = 4..10 below it
-        assert len(calls) == 580
+        cubicgen._cubic.cache_clear()
+        cubicgen._cubic(12, three_connected)  # and n = 4..10 below it
+        return len(calls)
+
+    def test_canonical_form_calls(self, monkeypatch):
+        assert self.canonical_form_calls(monkeypatch, False) == 580
+
+    def test_canonical_form_calls_three_connected(self, monkeypatch):
+        assert self.canonical_form_calls(monkeypatch, True) == 411
 
     def test_parallel_edges_rejected(self):
         theta = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
@@ -233,6 +239,57 @@ class TestGenerate:
     def test_odd_rejected(self):
         with pytest.raises(PreconditionError):
             list(generate_cubic(5))
+
+
+class TestThreeConnected:
+    """The 3-edge-connected class grown by H-insertion alone is the
+    3-edge-connected part of the connected class."""
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12,
+                                   pytest.param(14, marks=pytest.mark.slow)])
+    def test_same_classes_as_filtered_oracle(self, n):
+        got = [canonical_form(g)
+               for g in generate_cubic(n, three_edge_connected=True)]
+        assert got == [canonical_form(g) for g in oracle_cubic.connected_cubic(n)
+                       if is_three_edge_connected(g)]
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12,
+                                   pytest.param(14, marks=pytest.mark.slow),
+                                   pytest.param(16, marks=pytest.mark.slow)])
+    def test_known_counts(self, n):
+        graphs = list(generate_cubic(n, three_edge_connected=True))
+        assert len(graphs) == THREE_CONNECTED_COUNTS[n]
+
+    def test_every_h_child_three_connected(self):
+        # why the check in generate_cubic never fires: H-insertion at any
+        # edge pair of a 3-edge-connected graph keeps it 3-edge-connected
+        children = 0
+        for n in range(4, 11, 2):
+            for g in generate_cubic(n, three_edge_connected=True):
+                pairs = combinations(range(g.m), 2)
+                for child in cubicgen._h_insertions(g, pairs):
+                    assert is_three_edge_connected(child), (g, child)
+                    children += 1
+        assert children == 15 + 2 * 36 + 4 * 66 + 14 * 105
+
+    def test_no_diamond_or_blob_move(self, monkeypatch):
+        def forbidden(g, sites):
+            raise AssertionError("move outside the 3-edge-connected table")
+
+        moves = tuple((step, move if move is cubicgen._h_insertions else forbidden,
+                       size) for step, move, size in cubicgen._MOVES)
+        monkeypatch.setattr(cubicgen, "_MOVES", moves)
+        cubicgen._cubic.cache_clear()
+        assert len(cubicgen._cubic(12, True)) == 57
+        with pytest.raises(AssertionError):
+            cubicgen._cubic(8, False)
+
+    def test_non_three_connected_output_raises(self, monkeypatch):
+        rejected = cubicgen._cubic(8, True)[-1]
+        monkeypatch.setattr(cubicgen, "is_three_edge_connected",
+                            lambda g: g is not rejected)
+        with pytest.raises(VerificationError, match="not 3-edge-connected"):
+            list(generate_cubic(8, three_edge_connected=True))
 
 
 class TestPairModelOracle:

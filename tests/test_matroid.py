@@ -5,9 +5,11 @@ from itertools import combinations
 import pytest
 
 from conftest import random_connected_multigraph
+from regma import exact, matroid
 from regma.catalog import catalog
-from regma.errors import DisconnectedGraphError, GuardExceeded, PreconditionError
-from regma.exact import IntMatrix, odd_determinant_check, rank_f2
+from regma.errors import (DisconnectedGraphError, GuardExceeded,
+                          PreconditionError, RankDeficientError)
+from regma.exact import BitMatrix, IntMatrix, odd_determinant_check, rank_f2
 from regma.graph import MultiGraph, betti, enumerate_cycles
 from regma.matroid import (BinaryMatroid, Divide, Pullback, Pushforward,
                            Scale, WeightedRep, circuits, cocircuits,
@@ -15,6 +17,8 @@ from regma.matroid import (BinaryMatroid, Divide, Pullback, Pushforward,
                            ksum_rep, odd_transform, r10, simplify, sum1, sum2,
                            sum3)
 from regma.serialize import format_matroid, parse_matroid_expr
+
+from test_cli import run_cli
 
 
 def min_edge_cuts(g):
@@ -559,3 +563,53 @@ class TestIsomorphic:
         theta = graphic(MultiGraph(2, ((0, 1), (0, 1), (0, 1))))
         with pytest.raises(PreconditionError):
             isomorphic(theta, theta)
+
+
+class TestConstructionChecks:
+    """Each construction check eliminates its matrix once."""
+
+    def test_weighted_rep_one_rank_q(self, monkeypatch):
+        lift = r10().lift
+        calls = []
+        real = exact.rank_q
+
+        def count(m):
+            calls.append(1)
+            return real(m)
+
+        monkeypatch.setattr(exact, "rank_q", count)
+        monkeypatch.setattr(matroid, "rank_q", count)
+        WeightedRep.uniform(lift)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("budget", [matroid.ODD_CHECK_BUDGET, 0])
+    def test_rank_deficient_rejected_either_side_of_budget(self, monkeypatch,
+                                                          budget):
+        monkeypatch.setattr(matroid, "ODD_CHECK_BUDGET", budget)
+        with pytest.raises(RankDeficientError):
+            WeightedRep.uniform(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]]))
+
+    def test_lifted_constructor_no_rref(self, monkeypatch, heawood):
+        calls = []
+        real = BitMatrix.rref
+
+        def count(m):
+            calls.append(1)
+            return real(m)
+
+        monkeypatch.setattr(BitMatrix, "rref", count)
+        cographic(heawood)
+        assert calls == []
+
+    def test_lift_other_mod2_same_row_space(self):
+        rep = BitMatrix.from_rows([[1, 0], [1, 1]])
+        m = BinaryMatroid(("a", "b"), rep, IntMatrix.from_rows([[1, 0], [0, 1]]))
+        assert m.lift.mod2() != m.rep
+
+    def test_file_lift_other_row_space(self, tmp_path):
+        mfile = tmp_path / "m.txt"
+        mfile.write_text("1 2\n1 0\nLIFT\n0 1\n")
+        rc, out, err = run_cli("cogirth", f"file:{mfile}")
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [
+            "error: matroid file: lift mod 2 must span the same row space"]
