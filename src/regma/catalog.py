@@ -50,11 +50,13 @@ def _g53() -> MultiGraph:
     return MultiGraph(8, tuple(edges))
 
 
-def _petersen() -> MultiGraph:
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    return MultiGraph(10, tuple(edges))
+def _generalized_petersen(n: int, k: int) -> MultiGraph:
+    """GP(n, k): the outer n-cycle, then the inner edges i -> i + k, then
+    the spokes."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    return MultiGraph(2 * n, tuple(edges))
 
 
 def _heawood() -> MultiGraph:
@@ -107,13 +109,6 @@ def _f12() -> MultiGraph:
     return MultiGraph(12, F12_EDGES)
 
 
-def _moebius_kantor() -> MultiGraph:
-    edges = [(i, (i + 1) % 8) for i in range(8)]
-    edges += [(8 + i, 8 + (i + 3) % 8) for i in range(8)]
-    edges += [(i, 8 + i) for i in range(8)]
-    return MultiGraph(16, tuple(edges))
-
-
 def _check(g: MultiGraph, n: int, m: int, want_girth, want_betti: int,
            cubic: bool = True) -> MultiGraph:
     if g.n != n or g.m != m:
@@ -134,14 +129,14 @@ _BUILDERS = {
     "k33": lambda: _check(_k33(), 6, 9, 4, 4),
     "g53": lambda: _check(_g53(), 8, 12, 3, 5),
     "g54": lambda: _check(_moebius_ladder(4), 8, 12, 4, 5),
-    "petersen": lambda: _check(_petersen(), 10, 15, 5, 6),
+    "petersen": lambda: _check(_generalized_petersen(5, 2), 10, 15, 5, 6),
     "heawood": lambda: _check(_heawood(), 14, 21, 6, 8),
     "g1": lambda: _check(_g1(), 10, 15, 4, 6),
     "f11": lambda: _check(_f11(), 12, 18, 4, 7),
     "f12": lambda: _check(_f12(), 12, 18, 4, 7),
     "f13": lambda: _check(_f13(), 12, 18, 5, 7),
     "f14": lambda: _check(_f14(), 12, 18, 5, 7),
-    "moebius_kantor": lambda: _check(_moebius_kantor(), 16, 24, 6, 9),
+    "moebius_kantor": lambda: _check(_generalized_petersen(8, 3), 16, 24, 6, 9),
 }
 
 

@@ -30,7 +30,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import (AcyclicGraphError, DisconnectedGraphError, InputError,
-                     PreconditionError, VerificationError, check_guard)
+                     PreconditionError, VerificationError)
 from .exact import scale_to_ints
 
 INFINITY = float("inf")
@@ -413,33 +413,6 @@ def _dijkstra_dist(g: MultiGraph, w: EdgeWeights, src: int, dst: int,
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))
     return None
-
-
-def enumerate_cycles(g: MultiGraph) -> list[Cycle]:
-    """All simple cycles, each exactly once; guarded at m <= 25. Cycles are
-    rooted at their minimum edge id and extended by DFS over larger ids."""
-    check_guard(g.m, 25, "enumerate_cycles")
-    out: list[Cycle] = []
-    for e0, (u0, v0) in enumerate(g.edges):
-        if u0 == v0:
-            out.append(Cycle(frozenset([e0])))
-            continue
-        # Simple paths v0 -> u0 through edges with id > e0.
-        stack: list[tuple[int, frozenset[int], frozenset[int]]] = [
-            (v0, frozenset([e0]), frozenset([v0]))
-        ]
-        while stack:
-            x, used, verts = stack.pop()
-            for e in g.incidence[x]:
-                if e <= e0 or e in used or g.is_loop(e):
-                    continue
-                y = g.other_end(e, x)
-                if y == u0:
-                    out.append(Cycle(used | {e}))
-                elif y not in verts:
-                    stack.append((y, used | {e}, verts | {y}))
-    dedup = {c.edge_ids for c in out}
-    return sorted((Cycle(ids) for ids in dedup), key=lambda c: c.sorted_ids())
 
 
 def split_vertex(g: MultiGraph, v: int) -> MultiGraph:

@@ -1,7 +1,6 @@
 """Binary-represented matroids with optional integer lifts: graphic,
-cographic, and R10 constructions, duality, circuits/cocircuits/hyperplanes,
-1-/2-/3-sums over F2 and over integer weight lattices, odd transforms,
-simplification, and small-instance isomorphism.
+cographic, and R10 constructions, duality, 1-/2-/3-sums over F2 and over
+integer weight lattices, odd transforms, and simplification.
 
 A BinaryMatroid stores its F2 representation as constructed; when an
 integer lift is present it reduces to the same row space mod 2, so
@@ -28,8 +27,7 @@ from functools import cached_property
 from math import comb
 from typing import Sequence
 
-from .errors import (DisconnectedGraphError, PreconditionError,
-                     RankDeficientError, check_guard)
+from .errors import DisconnectedGraphError, PreconditionError, RankDeficientError
 from .exact import (BitMatrix, IntMatrix, Rat, det, f2_rank_words,
                     kernel_lattice_basis, odd_determinant_check, rank_f2,
                     rank_q)
@@ -168,26 +166,6 @@ def dual(m: BinaryMatroid) -> BinaryMatroid:
                          ("dual", m.provenance))
 
 
-def circuits(m: BinaryMatroid) -> list[tuple[int, ...]]:
-    """Minimal dependent subsets = minimal supports of nonzero F2 kernel
-    vectors of the representation."""
-    check_guard(m.size, 24, "circuits enumeration")
-    n, d = m.size, m.rank
-    check_guard(1 << (n - d), 1 << 22, "circuits kernel enumeration")
-    kernel = _kernel_basis_masks(m.rep)
-    vecs = [0]
-    for b in kernel:
-        vecs += [v ^ b for v in vecs]
-    vecs = [v for v in vecs if v]
-    vecs.sort(key=int.bit_count)
-    minimal: list[int] = []
-    for v in vecs:
-        if not any(u & v == u for u in minimal):
-            minimal.append(v)
-    out = [tuple(_mask_bits(v)) for v in minimal]
-    return sorted(out)
-
-
 def _kernel_basis_masks(rep: BitMatrix) -> list[int]:
     rref = rep.rref()
     n = rep.cols
@@ -201,24 +179,6 @@ def _kernel_basis_masks(rep: BitMatrix) -> list[int]:
                 mask |= 1 << p
         out.append(mask)
     return out
-
-
-def _mask_bits(x: int):
-    while x:
-        b = x & -x
-        yield b.bit_length() - 1
-        x ^= b
-
-
-def cocircuits(m: BinaryMatroid) -> list[tuple[int, ...]]:
-    return circuits(dual(m))
-
-
-def hyperplanes(m: BinaryMatroid) -> list[tuple[int, ...]]:
-    """Complements of the dual circuits."""
-    full = set(range(m.size))
-    out = [tuple(sorted(full - set(c))) for c in cocircuits(m)]
-    return sorted(out)
 
 
 def _glue_row(w1: Sequence[int], w2: Sequence[int]) -> list[int]:
@@ -520,59 +480,3 @@ def simplify(m: BinaryMatroid) -> tuple[BinaryMatroid, list[int | None]]:
         rep = BitMatrix(len(keep), m.rank,
                         tuple(rep.bits[j] for j in keep)).transpose()
     return BinaryMatroid(labels, rep, lift, ("simplify", m.provenance)), mapping
-
-
-def isomorphic(m1: BinaryMatroid, m2: BinaryMatroid) -> dict[int, int] | None:
-    """Ground-set bijection carrying independent sets onto independent sets,
-    or None. Both matroids must be simple; guarded at 12 elements."""
-    for m in (m1, m2):
-        if any(c == 0 for c in m.columns) or len(set(m.columns)) != m.size:
-            raise PreconditionError("isomorphic() requires simple matroids")
-    check_guard(max(m1.size, m2.size), 12, "matroid isomorphism")
-    if m1.size != m2.size or m1.rank != m2.rank:
-        return None
-    c1 = [frozenset(c) for c in circuits(m1)]
-    c2 = [frozenset(c) for c in circuits(m2)]
-    if sorted(len(c) for c in c1) != sorted(len(c) for c in c2):
-        return None
-    by_elem1 = _circuit_profile(c1, m1.size)
-    by_elem2 = _circuit_profile(c2, m2.size)
-    if sorted(by_elem1) != sorted(by_elem2):
-        return None
-    set2 = set(c2)
-    n = m1.size
-    image: list[int] = [-1] * n
-    used = [False] * n
-
-    def ok_so_far(v: int) -> bool:
-        for c in c1:
-            if all(x <= v for x in c):
-                if frozenset(image[x] for x in c) not in set2:
-                    return False
-        return True
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or by_elem1[v] != by_elem2[w]:
-                continue
-            image[v] = w
-            used[w] = True
-            if ok_so_far(v) and extend(v + 1):
-                return True
-            used[w] = False
-            image[v] = -1
-        return False
-
-    if extend(0):
-        return {v: image[v] for v in range(n)}
-    return None
-
-
-def _circuit_profile(cs: list[frozenset[int]], n: int) -> list[tuple]:
-    prof: list[list[int]] = [[] for _ in range(n)]
-    for c in cs:
-        for x in c:
-            prof[x].append(len(c))
-    return [tuple(sorted(p)) for p in prof]

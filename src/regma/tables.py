@@ -59,10 +59,6 @@ def _item(kind: str, key: str, value, expected, computed, witness,
     }
 
 
-def _sys_value(g: MultiGraph) -> Fraction:
-    return systole(g).value
-
-
 def _sys_worker(g: MultiGraph) -> tuple[str, str]:
     return canonical_form(g), str(systole(g).value)
 
@@ -74,19 +70,14 @@ def verify_tables(max_rank: int, exhaustive: bool = False, jobs: int = 1) -> dic
         raise PreconditionError("tables are established for ranks 1 to 9")
     items: list[dict] = []
 
-    t0 = time.perf_counter()
-    items.append(_item("systole", "b", 1, S_TABLE[1],
-                       _sys_value(MultiGraph(1, ((0, 0),))), "single loop", t0))
-    for b in range(2, max_rank + 1):
-        name = S_WITNESSES[b]
+    witnesses = [(1, S_TABLE[1], "single loop")]
+    witnesses += [(b, S_TABLE[b], S_WITNESSES[b]) for b in range(2, max_rank + 1)]
+    witnesses += [(7, expected, name) for name, expected in EXTRA_SYSTOLES.items()
+                  if max_rank >= 7]
+    for b, expected, name in witnesses:
         t0 = time.perf_counter()
-        items.append(_item("systole", "b", b, S_TABLE[b],
-                           _sys_value(catalog(name)), name, t0))
-    if max_rank >= 7:
-        for name, expected in EXTRA_SYSTOLES.items():
-            t0 = time.perf_counter()
-            items.append(_item("systole", "b", 7, expected,
-                               _sys_value(catalog(name)), name, t0))
+        g = MultiGraph(1, ((0, 0),)) if b == 1 else catalog(name)
+        items.append(_item("systole", "b", b, expected, systole(g).value, name, t0))
 
     for d in range(1, max_rank + 1):
         expr = C_WITNESSES[d]

@@ -1,8 +1,10 @@
-"""Reference minimum-cycle search: the Fraction `min_cycles_per_edge` that
-`regma.graph.min_cycles_per_edge` must agree with label for label. It adds
-the weights as Fractions and looks up each edge's ends in the graph on every
-relaxation, so it needs no argument that scaling the weights to integers
-keeps every order and every tie."""
+"""Reference cycle searches. `enumerate_cycles` lists every simple cycle by
+brute force, for tests that take a minimum or a count over all cycles. The
+Fraction `min_cycles_per_edge` is what `regma.graph.min_cycles_per_edge`
+must agree with label for label. It adds the weights as Fractions and looks
+up each edge's ends in the graph on every relaxation, so it needs no
+argument that scaling the weights to integers keeps every order and every
+tie."""
 
 from __future__ import annotations
 
@@ -10,7 +12,34 @@ import heapq
 from fractions import Fraction
 from typing import Sequence
 
-from regma.graph import MultiGraph, check_weights
+from regma.graph import Cycle, MultiGraph, check_weights
+
+
+def enumerate_cycles(g: MultiGraph) -> list[Cycle]:
+    """All simple cycles, each exactly once. Cycles are rooted at their
+    minimum edge id and extended by DFS over larger ids; the count grows
+    exponentially, so keep g small."""
+    out: list[Cycle] = []
+    for e0, (u0, v0) in enumerate(g.edges):
+        if u0 == v0:
+            out.append(Cycle(frozenset([e0])))
+            continue
+        # Simple paths v0 -> u0 through edges with id > e0.
+        stack: list[tuple[int, frozenset[int], frozenset[int]]] = [
+            (v0, frozenset([e0]), frozenset([v0]))
+        ]
+        while stack:
+            x, used, verts = stack.pop()
+            for e in g.incidence[x]:
+                if e <= e0 or e in used or g.is_loop(e):
+                    continue
+                y = g.other_end(e, x)
+                if y == u0:
+                    out.append(Cycle(used | {e}))
+                elif y not in verts:
+                    stack.append((y, used | {e}, verts | {y}))
+    dedup = {c.edge_ids for c in out}
+    return sorted((Cycle(ids) for ids in dedup), key=lambda c: c.sorted_ids())
 
 
 def min_cycles_per_edge(g: MultiGraph, w: Sequence[Fraction]

@@ -3,10 +3,11 @@ from itertools import combinations
 
 import pytest
 
+from oracle_cycles import enumerate_cycles
 from regma.catalog import NAMED_CYCLE_MODES, _check, catalog, named_cycle
 from regma.cubicgen import automorphisms, canonical_form
 from regma.errors import PreconditionError, VerificationError
-from regma.graph import betti, enumerate_cycles, girth, is_three_edge_connected
+from regma.graph import betti, girth, is_three_edge_connected
 from regma.surface import embeds_in
 
 

@@ -10,13 +10,14 @@ from pathlib import Path
 import pytest
 
 import oracle_lp
+from oracle_cycles import enumerate_cycles
+from oracle_matroid import circuits
 from conftest import random_connected_multigraph
 from regma import graph, optimize
 from regma.catalog import catalog
 from regma.errors import AcyclicGraphError, PreconditionError, VerificationError
-from regma.graph import (Cycle, MultiGraph, betti, enumerate_cycles, girth,
-                         min_cycles_per_edge)
-from regma.matroid import WeightedRep, cographic, graphic, r10
+from regma.graph import Cycle, MultiGraph, betti, girth, min_cycles_per_edge
+from regma.matroid import WeightedRep, cographic, dual, graphic, r10
 from regma.optimize import (C_TABLE, S_TABLE, CogirthResult, SystoleResult,
                             bound_decomposable, bound_large_girth,
                             bound_small_cycle, c_of_rep, cogirth, lp_max,
@@ -271,6 +272,17 @@ class TestCogirth:
     def test_equals_systole_of_cographic(self, petersen):
         for g in (catalog("k4"), petersen, catalog("heawood")):
             assert cogirth(cographic(g)).value == systole(g).value
+
+    @pytest.mark.parametrize("expr", ["r10", "graphic(builtin:k4)",
+                                      "cographic(builtin:k33)",
+                                      "cographic(builtin:petersen)"])
+    def test_min_over_cocircuits(self, expr):
+        # the minimum over dual vectors equals the minimum over hyperplane
+        # complements, the cocircuits, listed here by brute force
+        m = parse_matroid_expr(expr)
+        res = cogirth(m)
+        assert min(sum(res.weights[i] for i in c)
+                   for c in circuits(dual(m))) == res.value
 
     def test_bad_witness_rejected(self):
         res = cogirth(r10())

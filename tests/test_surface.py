@@ -6,11 +6,12 @@ import pytest
 
 import oracle_embeds
 import oracle_faces
+from oracle_cycles import enumerate_cycles
 from regma import surface
 from regma.catalog import NAMED_CYCLE_MODES, catalog, named_cycle
 from regma.cubicgen import generate_cubic
 from regma.errors import DisconnectedGraphError, PreconditionError, RegmaError
-from regma.graph import Cycle, MultiGraph, betti, enumerate_cycles
+from regma.graph import Cycle, MultiGraph, betti
 from regma.surface import (EmbeddingCertificate, RotationSystem, _cyclic_key,
                            _dart_tables, _face_walks, _rotation_candidates,
                            _search_space, _sign_candidates,

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from regma.cubicgen import canonical_form
 from regma.errors import GuardExceeded, PreconditionError
-from regma.graph import MultiGraph, enumerate_cycles
+from regma.graph import MultiGraph
 from regma.tables import verify_tables
 
 
@@ -37,8 +38,9 @@ class TestVerifyTables:
 
 class TestGuardOverride:
     def test_override_lifts_guard(self, monkeypatch):
-        big = MultiGraph(2, tuple((0, 1) for _ in range(26)))
+        # canonical_form is guarded at 20 vertices
+        big = MultiGraph(21, tuple((i, (i + 1) % 21) for i in range(21)))
         with pytest.raises(GuardExceeded):
-            enumerate_cycles(big)
+            canonical_form(big)
         monkeypatch.setenv("REGMA_GUARD_OVERRIDE", "1")
-        assert len(enumerate_cycles(big)) == 26 * 25 // 2
+        assert canonical_form(big).startswith("21|")
