@@ -9,8 +9,8 @@ cycle through each edge, by a Dijkstra whose labels carry the sorted edge
 ids. It scales the weights to integers once per call; a positive scale keeps
 every order and tie, so the labels and their tie-break are those of the
 Fraction weights. `min_weight_cycle` is the least of them. The certificate
-checker asks `min_cycle_value` instead, a value-only Dijkstra on the Fraction
-weights that shares no code with that search.
+checker asks `min_cycle_value` instead, a value-only Dijkstra on the weights
+scaled the same way, which shares no code with that search.
 
 The spanning tree enters through one table, `fundamental_cycles`. Edge cuts
 below three edges are read off it (Pritchard & Thurimella 2011): an edge is
@@ -377,25 +377,25 @@ def _lex_dijkstra(adj: list[list[tuple[int, int]]], iw: Sequence[int], src: int,
 def min_cycle_value(g: MultiGraph, w: Sequence[Fraction]) -> Fraction:
     """The least cycle weight alone: over the edges, a loop's weight or an
     edge (u, v) plus the u-v distance avoiding it. A plain Dijkstra on the
-    Fraction weights, with no path labels and no tie-break; it shares no
-    code with `min_cycles_per_edge`, so a checker built on it does not vouch
-    for the solver's oracle with that same oracle."""
-    w = check_weights(g, w)
+    weights scaled once to integers, with no path labels and no tie-break;
+    it shares no code with `min_cycles_per_edge`, so a checker built on it
+    does not vouch for the solver's oracle with that same oracle."""
+    den, iw = scale_to_ints(check_weights(g, w))
     best = None
     for e, (u, v) in enumerate(g.edges):
-        d = Fraction(0) if u == v else _dijkstra_dist(g, w, u, v, avoid_edge=e)
-        if d is not None and (best is None or d + w[e] < best):
-            best = d + w[e]
+        d = 0 if u == v else _dijkstra_dist(g, iw, u, v, avoid_edge=e)
+        if d is not None and (best is None or d + iw[e] < best):
+            best = d + iw[e]
     if best is None:
         raise AcyclicGraphError("graph has no cycle")
-    return best
+    return Fraction(best, den)
 
 
-def _dijkstra_dist(g: MultiGraph, w: EdgeWeights, src: int, dst: int,
-                   avoid_edge: int) -> Fraction | None:
+def _dijkstra_dist(g: MultiGraph, iw: Sequence[int], src: int, dst: int,
+                   avoid_edge: int) -> int | None:
     """Weighted src-dst distance avoiding one edge; None if unreachable."""
-    dist = {src: Fraction(0)}
-    heap = [(Fraction(0), src)]
+    dist = {src: 0}
+    heap = [(0, src)]
     done: set[int] = set()
     while heap:
         dx, x = heapq.heappop(heap)
@@ -408,7 +408,7 @@ def _dijkstra_dist(g: MultiGraph, w: EdgeWeights, src: int, dst: int,
             y = g.other_end(e, x)
             if e == avoid_edge or y in done:
                 continue
-            nd = dx + w[e]
+            nd = dx + iw[e]
             if y not in dist or nd < dist[y]:
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))

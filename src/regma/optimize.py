@@ -6,15 +6,15 @@ Systole and cogirth both maximise, over the simplex, the minimum of 0/1
 linear forms. The one LP solved is that max-min LP over the active rows:
 lp_max starts from the known feasible basis (lam_0 on sum lam = 1, every
 slack basic) and pivots by Bland's rule on a fraction-free integer tableau
-(Edmonds/Bareiss pivots over one common divisor). solve_maxmin solves the
-full problem by cutting planes, with the
+of the nonbasic columns (Bareiss pivots over one common divisor, as in lrs).
+solve_maxmin solves the full problem by cutting planes, with the
 minimum-weight-cycle search (resp. a Gray-code walk over the nonzero F2 dual
 vectors) as separation oracle, and verify_maxmin checks both sides of every
-optimum: primal weights reaching the value, and a dual distribution over
-forms whose largest load is the value. Neither checker shares oracle code
-with its solver: the systole checker asks the value-only
-`min_cycle_value`, and the cogirth checker enumerates the dual vectors
-plainly.
+optimum, given in ints and Fractions: primal weights reaching the value, and
+a dual distribution over forms whose largest load is the value. Neither
+checker shares oracle code with its solver: the systole checker asks the
+value-only `min_cycle_value`, and the cogirth checker enumerates the dual
+vectors plainly; both sum the weights scaled once to integers.
 """
 
 from __future__ import annotations
@@ -39,51 +39,45 @@ def lp_max(n: int, ub: Sequence[frozenset[int]]) -> tuple[tuple[Rat, ...], Rat, 
     for every row S (an index set) of ub, by simplex with Bland's
     anti-cycling rule. Returns (lam, t, duals), one dual per row.
 
-    Columns: lam_0..lam_{n-1}, t, then one slack per row. The start is the
-    feasible basis that phase 1 of a two-phase simplex reaches in its one
-    pivot: lam_0 basic on sum lam = 1 and every slack basic, with lam_0
-    eliminated from the rows that contain item 0. The tableau is
-    fraction-free (Edmonds/Bareiss pivots, as in Avis's lrs): an integer
-    matrix M and a divisor d > 0 with true tableau M / d, so every pivot is
-    that of the rational tableau. With a row the LP is bounded (t <= 1), so
-    an improving column always has a leaving row."""
+    Variables: lam_0..lam_{n-1}, then t = n, then row r's slack n + 1 + r.
+    The start is the feasible basis that phase 1 of a two-phase simplex
+    reaches in its one pivot: lam_0 basic on sum lam = 1 and every slack
+    basic, with lam_0 eliminated from the rows that contain item 0. The
+    tableau is fraction-free and condensed, as in Avis's lrs: an integer
+    matrix M over one divisor d > 0 (Bareiss pivots), with only the n
+    nonbasic columns (variable cols[c] in column c) and the rhs. Each basic
+    column of the true tableau M / d is a unit vector, so every pivot is
+    that of the rational tableau. With a row the LP is bounded (t <= 1)."""
     if n < 1 or not ub:
         raise PreconditionError("the max-min LP needs at least one item and one row")
     k = len(ub)
-    width = n + 1 + k
     # Row 0 is sum lam = 1 with lam_0 basic. Row 1 + r is t - lam(S) +
     # slack_r = 0, plus row 0 where S holds item 0, which eliminates lam_0.
-    tab = [[1] * n + [0] * (k + 1) + [1]]
-    for r, s in enumerate(ub):
-        lead = int(0 in s)
-        row = [lead - (i in s) for i in range(n)] + [1] + [0] * k + [lead]
-        row[n + 1 + r] = 1
-        tab.append(row)
     # The last row is the objective row: d times the reduced costs.
-    tab.append([0] * n + [1] + [0] * (k + 1))
+    tab = [[1] * (n - 1) + [0, 1]]
+    tab += [[(0 in s) - (i in s) for i in range(1, n)] + [1, int(0 in s)] for s in ub]
+    tab.append([0] * (n - 1) + [1, 0])
+    cols = list(range(1, n + 1))
     basis = [0] + [n + 1 + r for r in range(k)]
     d = 1
     while True:
-        # Bland's rule: first improving column, smallest-index leaving basis
-        # variable on ratio ties (ratios compared cross-multiplied).
+        # Bland's rule: the improving column of least variable, then the
+        # least ratio (cross-multiplied), ties to the least basis variable.
         obj = tab[-1]
-        enter = next((j for j in range(width) if obj[j] > 0), None)
+        enter = min((c for c in range(n) if obj[c] > 0), key=cols.__getitem__,
+                    default=None)
         if enter is None:
             break
         leave = -1
         for i in range(k + 1):
             a = tab[i][enter]
-            if a > 0:
-                if leave < 0:
-                    leave, num, den = i, tab[i][width], a
-                    continue
-                lhs, rhs = tab[i][width] * den, num * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, den = i, tab[i][width], a
+            if a > 0 and (leave < 0 or (tab[i][n] * den, basis[i]) < (num * a, basis[leave])):
+                leave, num, den = i, tab[i][n], a
         if leave < 0:
             raise VerificationError("max-min LP found no leaving row")
         # Row leave stays; every other row becomes (p·M_i − M_i,enter·M_leave)
-        # / d, an exact division (Bareiss); p > 0 by the ratio test.
+        # / d, exact (Bareiss), p > 0; the leaving variable's column d·e_leave
+        # turns into the entering one's: d at row leave, −M_i,enter elsewhere.
         pr = tab[leave]
         p = pr[enter]
         for i, ri in enumerate(tab):
@@ -91,19 +85,18 @@ def lp_max(n: int, ub: Sequence[frozenset[int]]) -> tuple[tuple[Rat, ...], Rat, 
                 continue
             f = ri[enter]
             if f:
-                tab[i] = [(p * x - f * y) // d for x, y in zip(ri, pr)]
+                ri = tab[i] = [(p * x - f * y) // d for x, y in zip(ri, pr)]
+                ri[enter] = -f
             elif p != d:
                 tab[i] = [p * x // d for x in ri]
+        pr[enter] = d
         d = p
-        basis[leave] = enter
-    lam = [ZERO] * n
-    for i, j in enumerate(basis):
-        if j < n:
-            lam[j] = Fraction(tab[i][width], d)
-    # The objective row's rhs is -d * t; the dual of a row is minus the
-    # reduced cost of its slack.
-    obj = tab[-1]
-    return tuple(lam), Fraction(-obj[width], d), tuple(Fraction(-y, d) for y in obj[n + 1:width])
+        cols[enter], basis[leave] = basis[leave], cols[enter]
+    # A nonbasic lam_j is 0. The objective row's rhs is -d * t; the dual of
+    # a row is minus the reduced cost of its slack, 0 while that is basic.
+    rhs, cost = {j: row[n] for j, row in zip(basis, tab)}, dict(zip(cols, obj))
+    return (tuple(Fraction(rhs.get(j, 0), d) for j in range(n)), Fraction(-obj[n], d),
+            tuple(Fraction(-cost.get(j, 0), d) for j in range(n + 1, n + 1 + k)))
 
 
 def _load(row: frozenset[int], w: Sequence[Rat]) -> Rat:
@@ -127,7 +120,8 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
         got, new = separate(lam)
         if got == t:
             break
-        violated = [s for s in new if _load(s, lam) < t]
+        den, iw = scale_to_ints(lam)
+        violated = [s for s in new if sum(iw[i] for i in s) < t * den]
         if got > t or not violated or not set(rows).isdisjoint(violated):
             raise VerificationError(
                 f"cutting-plane round made no progress at t = {t} (oracle minimum {got})")
@@ -145,6 +139,8 @@ def verify_maxmin(n: int, weights: Sequence[Rat], value: Rat, minimum, support,
     a distribution over rows whose largest load on an item is value.
     support(row) is the row's index set, or None for an invalid row."""
     w = tuple(weights)
+    if not all(isinstance(x, (int, Fraction)) for x in (*w, value, *(y for _, y in dual))):
+        return False
     if len(w) != n or any(x < 0 for x in w) or sum(w, ZERO) != 1:
         return False
     if minimum(w) != value:
@@ -257,10 +253,12 @@ def _dual_support(v: int, cols: Sequence[int]) -> frozenset[int]:
 
 def _min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tuple[Rat, int]:
     """(least f_lam(v) over nonzero dual vectors v, least v attaining it),
-    by plain enumeration: verify_cogirth's oracle, which shares no code with
-    the solver's _gray_min_dual_vector."""
-    return min(((_load(_dual_support(v, cols), lam), v) for v in range(1, 1 << d)),
-               default=(None, None))
+    by plain enumeration on lam scaled once to integers: verify_cogirth's
+    oracle, which shares no code with the solver's _gray_min_dual_vector."""
+    den, weights = scale_to_ints(lam)
+    best = min(((sum(w for c, w in zip(cols, weights) if (v & c).bit_count() & 1), v)
+                for v in range(1, 1 << d)), default=None)
+    return (None, None) if best is None else (Fraction(best[0], den), best[1])
 
 
 def _gray_min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tuple[Rat, int]:

@@ -16,6 +16,7 @@ from conftest import random_connected_multigraph
 from regma import graph, optimize
 from regma.catalog import catalog
 from regma.errors import AcyclicGraphError, PreconditionError, VerificationError
+from regma.exact import scale_to_ints
 from regma.graph import Cycle, MultiGraph, betti, girth, min_cycles_per_edge
 from regma.matroid import WeightedRep, cographic, dual, graphic, r10
 from regma.optimize import (C_TABLE, S_TABLE, CogirthResult, SystoleResult,
@@ -118,8 +119,10 @@ class TestLPOracle:
             seen["full"] += frozenset(range(n)) in rows
         assert min(seen.values()) >= 500
 
-    def test_lps_of_the_solvers(self, monkeypatch):
-        # every LP that systole and cogirth issue, recorded through a wrapper
+    @staticmethod
+    def issued_lps(monkeypatch, solves):
+        """Every LP that the (solver, argument) pairs issue, recorded through
+        a wrapper and each checked against the oracle."""
         issued = []
 
         def record(n, ub):
@@ -128,13 +131,26 @@ class TestLPOracle:
             return got
 
         monkeypatch.setattr(optimize, "lp_max", record)
-        systole(catalog("petersen"))
-        systole(catalog("f14"))
-        cogirth(r10())
-        cogirth(cographic(catalog("petersen")))
-        assert len(issued) > 20
+        for solve, arg in solves:
+            solve(arg)
         for n, rows, got in issued:
             assert_same_solution(n, rows, got)
+        return issued
+
+    def test_lps_of_the_solvers(self, monkeypatch):
+        issued = self.issued_lps(monkeypatch, [
+            (systole, catalog("petersen")), (systole, catalog("f14")),
+            (systole, catalog("heawood")), (cogirth, r10()),
+            (cogirth, cographic(catalog("petersen"))),
+            (cogirth, cographic(catalog("heawood")))])
+        assert len(issued) > 50 and max(len(rows) for _, rows, _ in issued) == 37
+
+    @pytest.mark.slow
+    def test_lps_of_the_largest_witness(self, monkeypatch):
+        issued = self.issued_lps(monkeypatch, [
+            (systole, catalog("moebius_kantor")),
+            (cogirth, cographic(catalog("moebius_kantor")))])
+        assert len(issued) == 32 and max(len(rows) for _, rows, _ in issued) == 42
 
 
 class TestSystole:
@@ -413,6 +429,66 @@ class TestMaxMin:
             solve_maxmin(3, [], separate)
 
 
+def one_step_forgeries(weights, value):
+    """The weights with the least positive amount 1/den (den their common
+    denominator) moved from a positive element to the next one, each with
+    the value raised by 1/den."""
+    den, _ = scale_to_ints(weights)
+    step = Fraction(1, den)
+    for i, x in enumerate(weights):
+        if x > 0:
+            w = list(weights)
+            w[i] -= step
+            w[(i + 1) % len(w)] += step
+            yield tuple(w), value + step
+
+
+class TestExactCertificates:
+    """The checkers scale a certificate to integers, so they take only ints
+    and Fractions, and they see a change of one least unit."""
+
+    def test_float_cogirth_certificate_rejected(self):
+        m = graphic(MultiGraph(2, ((0, 1), (0, 1), (0, 1))))
+        weights = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+        assert verify_cogirth(m, CogirthResult(1, weights, 1, ((1, 1),))) is True
+        for bad in (CogirthResult(1, (0.5, 0.25, 0.25), 1, ((1, 1),)),
+                    CogirthResult(1.0, weights, 1, ((1, 1),)),
+                    CogirthResult(1, weights, 1, ((1, 1.0),))):
+            assert verify_cogirth(m, bad) is False
+
+    def test_float_systole_certificate_rejected(self):
+        # the 4-cycle has systole 1, so its certificate is exact in floats
+        g = MultiGraph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+        res = systole(g)
+        assert res.value == 1 and verify_systole(g, res) is True
+        (c, y), = res.dual_dist
+        for bad in (SystoleResult(1, tuple(map(float, res.weights)), res.tight_cycles,
+                                  res.dual_dist),
+                    SystoleResult(1.0, res.weights, res.tight_cycles, res.dual_dist),
+                    SystoleResult(1, res.weights, res.tight_cycles, ((c, float(y)),))):
+            assert verify_systole(g, bad) is False
+
+    @pytest.mark.parametrize("expr", ["r10", "cographic(builtin:heawood)"])
+    def test_one_step_cogirth_forgeries_fail(self, expr):
+        m = parse_matroid_expr(expr)
+        res = cogirth(m)
+        forgeries = list(one_step_forgeries(res.weights, res.value))
+        assert forgeries
+        for w, value in forgeries:
+            assert optimize._min_dual_vector(m.columns, w, m.rank)[0] < value
+            forged = CogirthResult(value, w, res.witness, res.dual)
+            assert verify_cogirth(m, forged) is False
+
+    def test_one_step_systole_forgeries_fail(self, heawood):
+        res = systole(heawood)
+        forgeries = list(one_step_forgeries(res.weights, res.value))
+        assert forgeries
+        for w, value in forgeries:
+            assert graph.min_cycle_value(heawood, w) < value
+            forged = SystoleResult(value, w, res.tight_cycles, res.dual_dist)
+            assert verify_systole(heawood, forged) is False
+
+
 class TestCOfRep:
     def test_r10_uniform(self):
         value, witness = c_of_rep(WeightedRep.uniform(r10().lift))
@@ -465,8 +541,11 @@ class TestGrayKernel:
             lam = [Fraction(0) if rng.random() < 0.2
                    else Fraction(rng.randint(1, 3), rng.randint(1, 4))
                    for _ in cols]
+            # both sum integers; the third side sums the Fractions plainly
+            fractions = min((sum((lam[i] for i in optimize._dual_support(v, cols)),
+                                 Fraction(0)), v) for v in range(1, 1 << d))
             assert (optimize._gray_min_dual_vector(cols, lam, d)
-                    == optimize._min_dual_vector(cols, lam, d))
+                    == optimize._min_dual_vector(cols, lam, d) == fractions)
 
     def test_least_vector_among_ties(self):
         # columns 01 and 11 at equal weights: f(01) = 1 and f(10) = f(11) = 1/2;

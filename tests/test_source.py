@@ -134,6 +134,39 @@ def _names_read(node):
     return names
 
 
+# The search code of the solvers. A certificate checker that reached any of
+# it would vouch for a solver's result with that solver's own search, so a
+# fault in the search would pass its own check. scale_to_ints is shared on
+# purpose: it only rewrites the certificate's numbers over one denominator.
+SOLVER_SEARCH = {"lp_max", "solve_maxmin", "min_cycles_per_edge", "min_weight_cycle",
+                 "_lex_dijkstra", "_gray_min_dual_vector"}
+
+
+def _reachable(roots):
+    """The functions reachable from roots in src/regma, by name: a function
+    reaches every function (methods and nested ones too) whose name its body
+    reads."""
+    reads: dict[str, set[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                reads.setdefault(node.name, set()).update(_names_read(node))
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in reads and name not in reached:
+            reached.add(name)
+            todo.extend(reads[name])
+    return reached
+
+
+def test_checkers_share_no_search_code_with_solvers():
+    reached = _reachable(["verify_systole", "verify_cogirth"])
+    assert {"verify_maxmin", "min_cycle_value", "_min_dual_vector",
+            "scale_to_ints"} <= reached
+    assert sorted(reached & SOLVER_SEARCH) == []
+
+
 # Public names that state a result of the paper and have no command yet:
 # the library keeps them for users, so they need no reader in src/ or
 # perfbench/. An entry that gains such a reader leaves this list.
