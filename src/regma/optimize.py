@@ -7,7 +7,8 @@ linear forms. The one LP solved is that max-min LP over the active rows:
 lp_max starts from the known feasible basis (lam_0 on sum lam = 1, every
 slack basic) and pivots by Bland's rule on a fraction-free integer tableau
 of the nonbasic columns (Bareiss pivots over one common divisor, as in lrs).
-solve_maxmin solves the full problem by cutting planes, with the
+solve_maxmin solves the full problem by cutting planes, each round taking up
+the previous round's pivot path where its new rows first change it, with the
 minimum-weight-cycle search (resp. a Gray-code walk over the nonzero F2 dual
 vectors) as separation oracle, and verify_maxmin checks both sides of every
 optimum, given in ints and Fractions: primal weights reaching the value, and
@@ -34,7 +35,26 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def lp_max(n: int, ub: Sequence[frozenset[int]]) -> tuple[tuple[Rat, ...], Rat, tuple[Rat, ...]]:
+def _eliminate(rows: list[list[int]], pr: list[int], enter: int, d: int) -> list[list[int]]:
+    """rows after the Bareiss pivot on p = pr[enter] over divisor d, as new
+    lists: pr gets d in column enter, each other row M_i becomes exactly
+    (p·M_i − f·pr) / d with −f there, f = M_i[enter]. Pivoting again undoes it."""
+    p, out = pr[enter], []
+    for ri in rows:
+        f = ri[enter]
+        if ri is pr:
+            ri = pr[:enter] + [d] + pr[enter + 1:]
+        elif f:
+            ri = [(p * x - f * y) // d for x, y in zip(ri, pr)]
+            ri[enter] = -f
+        elif p != d:
+            ri = [p * x // d for x in ri]
+        out.append(ri)
+    return out
+
+
+def lp_max(n: int, ub: Sequence[frozenset[int]],
+           trail: list) -> tuple[tuple[Rat, ...], Rat, tuple[Rat, ...]]:
     """Maximize t over distributions lam on n items subject to t <= lam(S)
     for every row S (an index set) of ub, by simplex with Bland's
     anti-cycling rule. Returns (lam, t, duals), one dual per row.
@@ -47,7 +67,13 @@ def lp_max(n: int, ub: Sequence[frozenset[int]]) -> tuple[tuple[Rat, ...], Rat, 
     matrix M over one divisor d > 0 (Bareiss pivots), with only the n
     nonbasic columns (variable cols[c] in column c) and the rhs. Each basic
     column of the true tableau M / d is a unit vector, so every pivot is
-    that of the rational tableau. With a row the LP is bounded (t <= 1)."""
+    that of the rational tableau. With a row the LP is bounded (t <= 1).
+
+    lp_max overwrites trail ([] to start cold) with its pivots (enter, leave,
+    pivot row, divisor) and its tableau every 8 pivots and at the end. Given
+    the trail of a prefix of ub, it makes the same pivots up to the first
+    that a carried new row wins outright (its slack, the largest variable,
+    loses ties): from the next kept tableau pivoted back, or cold if nearer."""
     if n < 1 or not ub:
         raise PreconditionError("the max-min LP needs at least one item and one row")
     k = len(ub)
@@ -57,10 +83,31 @@ def lp_max(n: int, ub: Sequence[frozenset[int]]) -> tuple[tuple[Rat, ...], Rat, 
     tab = [[1] * (n - 1) + [0, 1]]
     tab += [[(0 in s) - (i in s) for i in range(1, n)] + [1, int(0 in s)] for s in ub]
     tab.append([0] * (n - 1) + [1, 0])
-    cols = list(range(1, n + 1))
-    basis = [0] + [n + 1 + r for r in range(k)]
-    d = 1
+    cols, basis = list(range(1, n + 1)), [0] + [n + 1 + r for r in range(k)]
+    d, steps, keep = 1, [], {}
+    if trail:
+        m, old, path, kept = trail
+        if m != n or list(ub[:len(old)]) != old:
+            raise PreconditionError("the trail is not of an LP on a prefix of these rows")
+        new, slacks, s = tab[len(old) + 1:-1], basis[len(old) + 1:], len(path)
+        for j, (enter, _, pr, dj) in enumerate(path):
+            if j in kept:
+                t, dk, ck, bk = kept[j]
+                keep[j] = t[:-1] + new + t[-1:], dk, ck, bk + slacks
+            if any(r[enter] > 0 and r[n] * pr[enter] < pr[n] * r[enter] for r in new):
+                s = j
+                break
+            new = _eliminate(new, pr, enter, dj)
+        if (back := min(j for j in kept if j >= s)) - s <= s:
+            tab, d, cols, basis = kept[back]
+            cols, basis, steps = cols[:], basis + slacks, path[:s]
+            for enter, leave, _, _ in reversed(path[s:back]):
+                tab, d = _eliminate(tab, tab[leave], enter, d), tab[leave][enter]
+                cols[enter], basis[leave] = basis[leave], cols[enter]
+            tab = tab[:-1] + new + tab[-1:]
     while True:
+        if len(steps) % 8 == 0:
+            keep[len(steps)] = tab, d, cols[:], basis[:]
         # Bland's rule: the improving column of least variable, then the
         # least ratio (cross-multiplied), ties to the least basis variable.
         obj = tab[-1]
@@ -75,23 +122,11 @@ def lp_max(n: int, ub: Sequence[frozenset[int]]) -> tuple[tuple[Rat, ...], Rat, 
                 leave, num, den = i, tab[i][n], a
         if leave < 0:
             raise VerificationError("max-min LP found no leaving row")
-        # Row leave stays; every other row becomes (p·M_i − M_i,enter·M_leave)
-        # / d, exact (Bareiss), p > 0; the leaving variable's column d·e_leave
-        # turns into the entering one's: d at row leave, −M_i,enter elsewhere.
-        pr = tab[leave]
-        p = pr[enter]
-        for i, ri in enumerate(tab):
-            if i == leave:
-                continue
-            f = ri[enter]
-            if f:
-                ri = tab[i] = [(p * x - f * y) // d for x, y in zip(ri, pr)]
-                ri[enter] = -f
-            elif p != d:
-                tab[i] = [p * x // d for x in ri]
-        pr[enter] = d
-        d = p
+        steps.append((enter, leave, tab[leave], d))
+        tab, d = _eliminate(tab, tab[leave], enter, d), tab[leave][enter]
         cols[enter], basis[leave] = basis[leave], cols[enter]
+    keep[len(steps)] = tab, d, cols[:], basis[:]
+    trail[:] = n, list(ub), steps, keep
     # A nonbasic lam_j is 0. The objective row's rhs is -d * t; the dual of
     # a row is minus the reduced cost of its slack, 0 while that is basic.
     rhs, cost = {j: row[n] for j, row in zip(basis, tab)}, dict(zip(cols, obj))
@@ -114,9 +149,9 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
     LP value, and below it there must be a violated row not yet in the LP,
     since every active row weighs at least t. A faulty LP or oracle that
     breaks either raises VerificationError instead of looping."""
-    rows = list(seeds)
+    rows, trail = list(seeds), []
     while True:
-        lam, t, duals = lp_max(n, rows)
+        lam, t, duals = lp_max(n, rows, trail)
         got, new = separate(lam)
         if got == t:
             break

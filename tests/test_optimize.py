@@ -47,11 +47,11 @@ def brute_force_systole(g):
     return sol.value
 
 
-def random_family(rng):
-    """Rows of a max-min LP on n <= 6 items: random subsets, with repeated
-    rows, singletons and the full set mixed in, so that Bland's rule meets
-    ratio ties."""
-    n = rng.randint(1, 6)
+def random_family(rng, n=None):
+    """Rows of a max-min LP on n <= 6 items (n drawn unless given): random
+    subsets, with repeated rows, singletons and the full set mixed in, so
+    that Bland's rule meets ratio ties."""
+    n = n or rng.randint(1, 6)
     rows = []
     for _ in range(rng.randint(1, 9)):
         kind = rng.random()
@@ -68,7 +68,7 @@ def random_family(rng):
 
 
 def assert_same_solution(n, rows, got):
-    """lp_max(n, rows) equals the general two-phase oracle on the same LP:
+    """lp_max(n, rows, []) equals the general two-phase oracle on the same LP:
     maximise t subject to sum lam = 1 and t - lam(S) <= 0 for each row."""
     eq = [([ONE] * n + [0], ONE)]
     ub = [([-1 if i in s else 0 for i in range(n)] + [1], 0) for s in rows]
@@ -90,7 +90,7 @@ class TestLP:
 
         for trial in range(60):
             n, rows = random_family(rng)
-            lam, t, duals = lp_max(n, rows)
+            lam, t, duals = lp_max(n, rows, [])
             res = linprog([0] * n + [-1],
                           A_ub=[[-1 if i in s else 0 for i in range(n)] + [1] for s in rows],
                           b_ub=[0] * len(rows), A_eq=[[1] * n + [0]], b_eq=[1],
@@ -113,7 +113,7 @@ class TestLPOracle:
         seen = Counter()
         for _ in range(2500):
             n, rows = random_family(rng)
-            assert_same_solution(n, rows, lp_max(n, rows))
+            assert_same_solution(n, rows, lp_max(n, rows, []))
             seen["repeated"] += len(set(rows)) < len(rows)
             seen["singleton"] += any(len(s) == 1 for s in rows)
             seen["full"] += frozenset(range(n)) in rows
@@ -122,11 +122,12 @@ class TestLPOracle:
     @staticmethod
     def issued_lps(monkeypatch, solves):
         """Every LP that the (solver, argument) pairs issue, recorded through
-        a wrapper and each checked against the oracle."""
+        a wrapper that forwards the solver's trail, and each checked against
+        the oracle and against a cold solve of the same rows."""
         issued = []
 
-        def record(n, ub):
-            got = lp_max(n, ub)
+        def record(n, ub, trail):
+            got = lp_max(n, ub, trail)
             issued.append((n, list(ub), got))
             return got
 
@@ -135,6 +136,8 @@ class TestLPOracle:
             solve(arg)
         for n, rows, got in issued:
             assert_same_solution(n, rows, got)
+            cold = lp_max(n, rows, [])
+            assert got == cold and repr(got) == repr(cold), (n, rows)
         return issued
 
     def test_lps_of_the_solvers(self, monkeypatch):
@@ -151,6 +154,120 @@ class TestLPOracle:
             (systole, catalog("moebius_kantor")),
             (cogirth, cographic(catalog("moebius_kantor")))])
         assert len(issued) == 32 and max(len(rows) for _, rows, _ in issued) == 42
+
+
+def count_pivots(monkeypatch):
+    """A Counter of the pivots lp_max makes on its whole tableau, through a
+    wrapper of optimize._eliminate. Carrying new rows along a recorded path
+    eliminates rows without the pivot row among them, and is not counted."""
+    count = Counter()
+    eliminate = optimize._eliminate
+
+    def counted(rows, pr, enter, d):
+        count["pivots"] += any(r is pr for r in rows)
+        return eliminate(rows, pr, enter, d)
+
+    monkeypatch.setattr(optimize, "_eliminate", counted)
+    return count
+
+
+class TestLPTrail:
+    """With the trail of the previous round, lp_max takes up that round's
+    pivot path; every result equals the cold solve's, down to repr."""
+
+    @staticmethod
+    def grow(n, batches, count):
+        """Solve after each batch of rows with one trail, check each result
+        against the cold solve, and return the (warm, cold) pivots of each
+        round."""
+        rows, trail, made = [], [], []
+        for batch in batches:
+            rows += batch
+            before = count["pivots"]
+            warm = lp_max(n, rows, trail)
+            middle = count["pivots"]
+            cold = lp_max(n, rows, [])
+            assert warm == cold and repr(warm) == repr(cold), (n, rows)
+            made.append((middle - before, count["pivots"] - middle))
+        return made, trail
+
+    def test_random_growing_families(self, monkeypatch):
+        # one batch is the full set and a copy of a first-batch row, which
+        # the optimum satisfies (both weigh at least t): the replay reaches
+        # the end of the old path and makes no pivot
+        count = count_pivots(monkeypatch)
+        rng = random.Random(2424)
+        for _ in range(600):
+            n, first = random_family(rng)
+            batches = [first] + [random_family(rng, n)[1] for _ in range(rng.randint(2, 5))]
+            satisfied = rng.randrange(1, len(batches))
+            batches[satisfied] = [frozenset(range(n)), rng.choice(first)]
+            made, _ = self.grow(n, batches, count)
+            assert made[satisfied][0] == 0
+
+    def test_new_row_wins_at_step_zero(self, monkeypatch):
+        # the first pivot brings in t; every old row holds item 0, so its
+        # ratio is 1, and {1} wins with ratio 0: the solve starts over
+        count = count_pivots(monkeypatch)
+        F = frozenset
+        made, trail = self.grow(3, [[F({0, 1}), F({0, 2})], [F({1})]], count)
+        assert made == [(1, 1), (2, 2)] and trail[2][0][1] == 3
+
+    def test_ratio_tie_goes_to_the_old_row(self, monkeypatch):
+        # {1, 2} and the new {1} tie at ratio 0 in the first pivot; the old
+        # row's slack is the smaller variable, so it leaves, and the path
+        # runs on to the old optimum (0, 1, 0), which {1} does not cut
+        count = count_pivots(monkeypatch)
+        F = frozenset
+        made, trail = self.grow(3, [[F({1, 2})], [F({1})]], count)
+        assert made == [(2, 2), (0, 2)] and trail[2][0][1] == 1
+
+    def test_trail_of_another_lp_rejected(self):
+        rows = [frozenset({0, 1}), frozenset({1, 2})]
+        trail = []
+        lp_max(3, rows, trail)
+        for n, ub in [(4, rows), (3, rows[::-1]), (3, rows[:1]),
+                      (3, [frozenset({0, 2}), *rows])]:
+            with pytest.raises(PreconditionError):
+                lp_max(n, ub, list(trail))
+
+    def test_pivot_twice_restores_the_tableau(self):
+        # on every tableau the random LPs keep, a second pivot on the same
+        # entry gives back every row, and the first pivot's entry becomes
+        # the old divisor, so the divisor comes back too
+        rng = random.Random(77)
+        checked = 0
+        for _ in range(300):
+            n, rows = random_family(rng)
+            trail = []
+            lp_max(n, rows, trail)
+            for tab, d, _, _ in trail[3].values():
+                for r, c in itertools.product(range(len(tab) - 1), range(n)):
+                    p = tab[r][c]
+                    if p:
+                        once = optimize._eliminate(tab, tab[r], c, d)
+                        assert once[r][c] == d
+                        assert optimize._eliminate(once, once[r], c, p) == tab
+                        checked += 1
+        assert checked > 2000
+
+    def test_pivot_counts(self, monkeypatch):
+        # deterministic work: the pivots of the solvers' LPs along their
+        # trails, then of the same LPs solved cold
+        count = count_pivots(monkeypatch)
+        issued = []
+
+        def record(n, ub, trail):
+            issued.append((n, list(ub)))
+            return lp_max(n, ub, trail)
+
+        monkeypatch.setattr(optimize, "lp_max", record)
+        systole(catalog("heawood"))
+        cogirth(cographic(catalog("heawood")))
+        warm = count["pivots"]
+        for n, rows in issued:
+            lp_max(n, rows, [])
+        assert (len(issued), warm, count["pivots"] - warm) == (28, 307, 578)
 
 
 class TestSystole:
@@ -411,9 +528,9 @@ class TestMaxMin:
         # (the engine used to grow the LP without end here)
         calls = []
 
-        def stale(n, ub):
+        def stale(n, ub, trail):
             calls.append(len(ub))
-            return lp_max(n, ub[:calls[0]])
+            return lp_max(n, ub[:calls[0]], [])
 
         monkeypatch.setattr(optimize, "lp_max", stale)
         with pytest.raises(VerificationError, match="no progress"):
