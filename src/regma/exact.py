@@ -65,10 +65,6 @@ class IntMatrix:
             flat.extend(int(x) for x in r)
         return IntMatrix(nrows, ncols, tuple(flat))
 
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 

@@ -75,10 +75,6 @@ class MultiGraph:
         u, w = self.edges[e]
         return w if u == v else u
 
-    def is_loop(self, e: int) -> bool:
-        u, v = self.edges[e]
-        return u == v
-
     def components(self) -> list[list[int]]:
         seen = [False] * self.n
         comps = []
@@ -145,14 +141,8 @@ class Cycle:
 
     edge_ids: frozenset[int]
 
-    def sorted_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.edge_ids))
-
     def __len__(self) -> int:
         return len(self.edge_ids)
-
-    def weight(self, w: Sequence[Fraction]) -> Fraction:
-        return sum((w[e] for e in self.edge_ids), Fraction(0))
 
     @staticmethod
     def from_edges(g: MultiGraph, ids) -> "Cycle":

@@ -72,15 +72,9 @@ class BinaryMatroid:
         """Columns as F2 bitmasks (bit i = row i)."""
         return self.rep.col_masks()
 
-    def is_independent(self, subset: Sequence[int]) -> bool:
-        return self.subset_rank(subset) == len(subset)
-
     def subset_rank(self, subset: Sequence[int]) -> int:
         cols = self.columns
         return f2_rank_words([cols[i] for i in subset])
-
-    def is_basis(self, subset: Sequence[int]) -> bool:
-        return len(subset) == self.rank and self.is_independent(subset)
 
     def label_index(self, label: str) -> int:
         try:

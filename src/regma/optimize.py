@@ -7,8 +7,9 @@ linear forms. The one LP solved is that max-min LP over the active rows:
 lp_max starts from the known feasible basis (lam_0 on sum lam = 1, every
 slack basic) and pivots by Bland's rule on a fraction-free integer tableau
 of the nonbasic columns (Bareiss pivots over one common divisor, as in lrs).
-solve_maxmin solves the full problem by cutting planes, each round taking up
-the previous round's pivot path where its new rows first change it, with the
+solve_maxmin solves the full problem by cutting planes, each round resuming
+the previous round's pivot path (a cold solve, the empty LP's) from the last
+tableau kept, every 4 pivots, before its new rows first change it, with the
 minimum-weight-cycle search (resp. a Gray-code walk over the nonzero F2 dual
 vectors) as separation oracle, and verify_maxmin checks both sides of every
 optimum, given in ints and Fractions: primal weights reaching the value, and
@@ -69,44 +70,38 @@ def lp_max(n: int, ub: Sequence[frozenset[int]],
     column of the true tableau M / d is a unit vector, so every pivot is
     that of the rational tableau. With a row the LP is bounded (t <= 1).
 
-    lp_max overwrites trail ([] to start cold) with its pivots (enter, leave,
-    pivot row, divisor) and its tableau every 8 pivots and at the end. Given
-    the trail of a prefix of ub, it makes the same pivots up to the first
-    that a carried new row wins outright (its slack, the largest variable,
-    loses ties): from the next kept tableau pivoted back, or cold if nearer."""
+    lp_max overwrites trail with its pivots (enter, pivot row, divisor) and
+    its tableau every 4 pivots and at the end; [] is the trail of the empty
+    LP: no pivots, its sum and objective rows kept at step 0. Bland's rule
+    resumes from the last tableau kept at or before the first pivot that a
+    new row, carried along the trail, wins outright (its slack, the largest
+    variable, loses ties), so every pivot is the cold solve's."""
     if n < 1 or not ub:
         raise PreconditionError("the max-min LP needs at least one item and one row")
+    # Row 0 is sum lam = 1 with lam_0 basic, the last row the objective row:
+    # d times the reduced costs. A new row r is t - lam(S) + slack_r = 0,
+    # plus row 0 where S holds item 0, which eliminates lam_0.
+    m, old, path, kept = trail or (n, [], [], {0: (
+        [[1] * (n - 1) + [0, 1], [0] * (n - 1) + [1, 0]], 1, list(range(1, n + 1)), [0])})
+    if m != n or list(ub[:len(old)]) != old:
+        raise PreconditionError("the trail is not of an LP on a prefix of these rows")
     k = len(ub)
-    # Row 0 is sum lam = 1 with lam_0 basic. Row 1 + r is t - lam(S) +
-    # slack_r = 0, plus row 0 where S holds item 0, which eliminates lam_0.
-    # The last row is the objective row: d times the reduced costs.
-    tab = [[1] * (n - 1) + [0, 1]]
-    tab += [[(0 in s) - (i in s) for i in range(1, n)] + [1, int(0 in s)] for s in ub]
-    tab.append([0] * (n - 1) + [1, 0])
-    cols, basis = list(range(1, n + 1)), [0] + [n + 1 + r for r in range(k)]
-    d, steps, keep = 1, [], {}
-    if trail:
-        m, old, path, kept = trail
-        if m != n or list(ub[:len(old)]) != old:
-            raise PreconditionError("the trail is not of an LP on a prefix of these rows")
-        new, slacks, s = tab[len(old) + 1:-1], basis[len(old) + 1:], len(path)
-        for j, (enter, _, pr, dj) in enumerate(path):
-            if j in kept:
-                t, dk, ck, bk = kept[j]
-                keep[j] = t[:-1] + new + t[-1:], dk, ck, bk + slacks
-            if any(r[enter] > 0 and r[n] * pr[enter] < pr[n] * r[enter] for r in new):
-                s = j
-                break
-            new = _eliminate(new, pr, enter, dj)
-        if (back := min(j for j in kept if j >= s)) - s <= s:
-            tab, d, cols, basis = kept[back]
-            cols, basis, steps = cols[:], basis + slacks, path[:s]
-            for enter, leave, _, _ in reversed(path[s:back]):
-                tab, d = _eliminate(tab, tab[leave], enter, d), tab[leave][enter]
-                cols[enter], basis[leave] = basis[leave], cols[enter]
-            tab = tab[:-1] + new + tab[-1:]
+    new = [[(0 in s) - (i in s) for i in range(1, n)] + [1, int(0 in s)] for s in ub[len(old):]]
+    slacks, keep = list(range(n + 1 + len(old), n + 1 + k)), {}
+    for s in range(len(path) + 1):
+        if s in kept:
+            tab, d, cols, basis = kept[s]
+            keep[s] = tab[:-1] + new + tab[-1:], d, cols, basis + slacks
+        if s == len(path):
+            break
+        enter, pr, ds = path[s]
+        if any(r[enter] > 0 and r[n] * pr[enter] < pr[n] * r[enter] for r in new):
+            break
+        new = _eliminate(new, pr, enter, ds)
+    tab, d, cols, basis = keep[last := max(keep)]
+    cols, basis, steps = cols[:], basis[:], path[:last]
     while True:
-        if len(steps) % 8 == 0:
+        if len(steps) % 4 == 0:
             keep[len(steps)] = tab, d, cols[:], basis[:]
         # Bland's rule: the improving column of least variable, then the
         # least ratio (cross-multiplied), ties to the least basis variable.
@@ -122,7 +117,7 @@ def lp_max(n: int, ub: Sequence[frozenset[int]],
                 leave, num, den = i, tab[i][n], a
         if leave < 0:
             raise VerificationError("max-min LP found no leaving row")
-        steps.append((enter, leave, tab[leave], d))
+        steps.append((enter, tab[leave], d))
         tab, d = _eliminate(tab, tab[leave], enter, d), tab[leave][enter]
         cols[enter], basis[leave] = basis[leave], cols[enter]
     keep[len(steps)] = tab, d, cols[:], basis[:]

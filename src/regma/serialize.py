@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .catalog import catalog
-from .errors import InputError, RegmaError
+from .errors import InputError, PreconditionError, RegmaError
 from .exact import BitMatrix, IntMatrix, parse_rat
 from .graph import MultiGraph
 from .matroid import BinaryMatroid, cographic, dual, graphic, r10, simplify, sum1, sum2, sum3
@@ -27,7 +27,10 @@ from .matroid import BinaryMatroid, cographic, dual, graphic, r10, simplify, sum
 def load_graph(spec: str) -> MultiGraph:
     """A catalog name prefixed builtin:, or a path to a graph file."""
     if spec.startswith("builtin:"):
-        return catalog(spec[len("builtin:"):])
+        try:
+            return catalog(spec[len("builtin:"):])
+        except PreconditionError as exc:
+            raise InputError(str(exc)) from None
     with open(spec, encoding="utf-8") as fh:
         return MultiGraph.parse(fh.read())
 
@@ -125,14 +128,19 @@ def parse_matroid_expr(expr: str) -> BinaryMatroid:
         return simplify(parse_matroid_expr(args[0]))[0]
     if head == "sum1":
         return sum1(parse_matroid_expr(args[0]), parse_matroid_expr(args[1]))
+    (x, s1), (y, s2) = _split_at(args[0]), _split_at(args[1])
+    m1, m2 = parse_matroid_expr(x), parse_matroid_expr(y)
     if head == "sum2":
-        x, e1 = _split_at(args[0])
-        y, e2 = _split_at(args[1])
-        return sum2(parse_matroid_expr(x), e1, parse_matroid_expr(y), e2)
-    x, t1 = _split_at(args[0])
-    y, t2 = _split_at(args[1])
-    return sum3(parse_matroid_expr(x), _parse_triple(t1),
-                parse_matroid_expr(y), _parse_triple(t2))
+        return sum2(m1, _selected(m1, s1), m2, _selected(m2, s2))
+    return sum3(m1, [_selected(m1, a) for a in _parse_triple(s1)],
+                m2, [_selected(m2, a) for a in _parse_triple(s2)])
+
+
+def _selected(m: BinaryMatroid, label: str) -> str:
+    """A selector label, which must name a ground element of m."""
+    if label not in m.labels:
+        raise InputError(f"no ground element labeled {label!r}")
+    return label
 
 
 def _split_args(body: str) -> list[str]:

@@ -31,7 +31,7 @@ def enumerate_cycles(g: MultiGraph) -> list[Cycle]:
         while stack:
             x, used, verts = stack.pop()
             for e in g.incidence[x]:
-                if e <= e0 or e in used or g.is_loop(e):
+                if e <= e0 or e in used or len(set(g.edges[e])) == 1:
                     continue
                 y = g.other_end(e, x)
                 if y == u0:
@@ -39,7 +39,7 @@ def enumerate_cycles(g: MultiGraph) -> list[Cycle]:
                 elif y not in verts:
                     stack.append((y, used | {e}, verts | {y}))
     dedup = {c.edge_ids for c in out}
-    return sorted((Cycle(ids) for ids in dedup), key=lambda c: c.sorted_ids())
+    return sorted((Cycle(ids) for ids in dedup), key=lambda c: sorted(c.edge_ids))
 
 
 def min_cycles_per_edge(g: MultiGraph, w: Sequence[Fraction]
@@ -79,7 +79,7 @@ def _lex_dijkstra(g: MultiGraph, w: Sequence[Fraction], src: int, dst: int,
         if x == dst:
             return (dist, path)
         for e in g.incidence[x]:
-            if e == avoid_edge or g.is_loop(e):
+            if e == avoid_edge or len(set(g.edges[e])) == 1:
                 continue
             y = g.other_end(e, x)
             if y in done:

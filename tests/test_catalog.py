@@ -84,7 +84,7 @@ class TestObstructionGraphs:
             for e in buckets[2]:
                 w[e] = w8b
             assert sum(w) == 1
-            low = min(c.weight(w) for c in enumerate_cycles(f12))
+            low = min(sum(w[e] for e in c.edge_ids) for c in enumerate_cycles(f12))
             best = max(best or low, low)
         assert best == Fraction(2, 7)
 

@@ -358,6 +358,19 @@ class TestMalformedInput:
         assert err.splitlines() == ["error: malformed graph file: header '3 2' "
                                     "with 3 edge lines"]
 
+    @pytest.mark.parametrize("command,message", [
+        (["systole", "builtin:nosuch"], "unknown catalog name 'nosuch'"),
+        (["systole", "builtin:k1"], "k<n> needs n >= 2"),
+        (["systole", "builtin:moebius_ladder1"], "moebius ladder needs at least 2 rungs"),
+        (["cogirth", "sum2(r10@zz, r10@e1)"], "no ground element labeled 'zz'"),
+        (["cogirth", "sum3(graphic(builtin:k5)@{e0,e4,e1}, graphic(builtin:k5)@{e0,zz,e1})"],
+         "no ground element labeled 'zz'"),
+    ], ids=["catalog-name", "k1", "moebius-ladder1", "sum2-label", "sum3-label"])
+    def test_unknown_name(self, command, message):
+        rc, out, err = run_cli(*command)
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
     def test_deeply_nested_expression(self):
         rc, _, err = run_cli("cogirth", "dual(" * 1200 + "r10" + ")" * 1200)
         assert rc == 2

@@ -173,21 +173,25 @@ def count_pivots(monkeypatch):
 
 class TestLPTrail:
     """With the trail of the previous round, lp_max takes up that round's
-    pivot path; every result equals the cold solve's, down to repr."""
+    pivot path; every result equals the cold solve's, down to repr, and so
+    does the trail it leaves."""
 
     @staticmethod
     def grow(n, batches, count):
         """Solve after each batch of rows with one trail, check each result
-        against the cold solve, and return the (warm, cold) pivots of each
-        round."""
+        and the trail (every pivot, and every kept tableau with its cols and
+        basis, which the next round resumes from) against the cold solve's,
+        and return the (warm, cold) pivots of each round."""
         rows, trail, made = [], [], []
         for batch in batches:
             rows += batch
             before = count["pivots"]
             warm = lp_max(n, rows, trail)
             middle = count["pivots"]
-            cold = lp_max(n, rows, [])
+            cold_trail = []
+            cold = lp_max(n, rows, cold_trail)
             assert warm == cold and repr(warm) == repr(cold), (n, rows)
+            assert trail == cold_trail, (n, rows)
             made.append((middle - before, count["pivots"] - middle))
         return made, trail
 
@@ -207,20 +211,22 @@ class TestLPTrail:
 
     def test_new_row_wins_at_step_zero(self, monkeypatch):
         # the first pivot brings in t; every old row holds item 0, so its
-        # ratio is 1, and {1} wins with ratio 0: the solve starts over
+        # ratio is 1, and {1} wins with ratio 0: the solve starts over, and
+        # the first recorded pivot row is {1}'s starting row
         count = count_pivots(monkeypatch)
         F = frozenset
         made, trail = self.grow(3, [[F({0, 1}), F({0, 2})], [F({1})]], count)
-        assert made == [(1, 1), (2, 2)] and trail[2][0][1] == 3
+        assert made == [(1, 1), (2, 2)] and trail[2][0][1] == [-1, 0, 1, 0]
 
     def test_ratio_tie_goes_to_the_old_row(self, monkeypatch):
         # {1, 2} and the new {1} tie at ratio 0 in the first pivot; the old
         # row's slack is the smaller variable, so it leaves, and the path
-        # runs on to the old optimum (0, 1, 0), which {1} does not cut
+        # runs on to the old optimum (0, 1, 0), which {1} does not cut; the
+        # first recorded pivot row is {1, 2}'s starting row
         count = count_pivots(monkeypatch)
         F = frozenset
         made, trail = self.grow(3, [[F({1, 2})], [F({1})]], count)
-        assert made == [(2, 2), (0, 2)] and trail[2][0][1] == 1
+        assert made == [(2, 2), (0, 2)] and trail[2][0][1] == [-1, -1, 1, 0]
 
     def test_trail_of_another_lp_rejected(self):
         rows = [frozenset({0, 1}), frozenset({1, 2})]
@@ -267,7 +273,7 @@ class TestLPTrail:
         warm = count["pivots"]
         for n, rows in issued:
             lp_max(n, rows, [])
-        assert (len(issued), warm, count["pivots"] - warm) == (28, 307, 578)
+        assert (len(issued), warm, count["pivots"] - warm) == (28, 282, 578)
 
 
 class TestSystole:

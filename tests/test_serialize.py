@@ -74,8 +74,9 @@ class TestExpressions:
     def test_builtin_graph_loading(self):
         g = load_graph("builtin:theta")
         assert g.m == 3
-        with pytest.raises(PreconditionError):
-            load_graph("builtin:nonesuch")
+        for name in ("nonesuch", "k1", "moebius_ladder1"):
+            with pytest.raises(InputError):
+                load_graph(f"builtin:{name}")
 
 
 # Small numbers only, so that no draw asks for a huge matrix.

@@ -203,3 +203,29 @@ def test_public_names_have_users():
     # the list cannot go stale: each entry is defined and has no reader yet
     assert sorted(PAPER_API.keys() - {name for name, _ in defined}) == []
     assert sorted(PAPER_API.keys() & read) == []
+
+
+def _attributes_read(node):
+    """Every attribute name a node reads: how a method is reached, as
+    obj.method, self.method or Class.method."""
+    return {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+
+
+def test_public_methods_have_users():
+    # the rule above for the public methods of src/regma's classes: each
+    # needs a reader in the library outside its own body, or in the
+    # benchmark. A method only the tests read is test code
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))]
+    units = [unit for tree in trees for node in tree.body
+             for unit in (node.body if isinstance(node, ast.ClassDef) else [node])]
+    read_by = [(unit, _attributes_read(unit)) for unit in units]
+    benchmark = set().union(*(
+        _attributes_read(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted((SRC.parent.parent / "perfbench").glob("*.py"))))
+    methods = [(f"{cls.name}.{node.name}", node) for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name[:1] != "_"]
+    assert len(methods) > 20
+    unread = [name for name, node in methods if node.name not in benchmark
+              and not any(node.name in names for unit, names in read_by if unit is not node)]
+    assert sorted(unread) == []
