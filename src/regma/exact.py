@@ -12,8 +12,8 @@ bit j = column j.
 Each job is done once, here. `det` and `rank_q` share one fraction-free
 (Bareiss) elimination; `matroid` pushes weights forward by Cramer's rule
 over `det` and tests parallel columns by `rank_q`. `scale_to_ints` puts
-rationals over their least common denominator, for the integer loops of
-the Gray-code dual-vector walk and the minimum-cycle search.
+rationals over their least common denominator, where Fraction weights meet
+the integer searches and in the certificate checkers.
 """
 
 from __future__ import annotations

@@ -6,11 +6,12 @@ list. Weights are nonnegative exact rationals, one per edge id.
 
 Minimum cycles come from one search, `min_cycles_per_edge`: a minimum-weight
 cycle through each edge, by a Dijkstra whose labels carry the sorted edge
-ids. It scales the weights to integers once per call; a positive scale keeps
-every order and tie, so the labels and their tie-break are those of the
-Fraction weights. `min_weight_cycle` is the least of them. The certificate
-checker asks `min_cycle_value` instead, a value-only Dijkstra on the weights
-scaled the same way, which shares no code with that search.
+ids. It takes integer weights: the LP's numerators over its divisor, or the
+weights of `min_weight_cycle`, the least of them, scaled once to integers;
+a positive scale keeps every order and tie, so the labels and their
+tie-break are those of the Fraction weights. The certificate checker asks
+`min_cycle_value` instead, a value-only Dijkstra on the weights scaled the
+same way, which shares no code with that search.
 
 The spanning tree enters through one table, `fundamental_cycles`. Edge cuts
 below three edges are read off it (Pritchard & Thurimella 2011): an edge is
@@ -292,41 +293,37 @@ def is_three_edge_connected(g: MultiGraph) -> bool:
 
 def min_weight_cycle(g: MultiGraph, w: Sequence[Fraction]) -> tuple[Cycle, Fraction]:
     """Minimum-weight simple cycle: the least (weight, sorted edge ids) of
-    the per-edge cycles of `min_cycles_per_edge`. Every cycle weighs at least
-    the per-edge value of each of its edges, so the weight is the minimum;
-    ties are broken as `min_cycles_per_edge` breaks them.
-    """
-    per_edge = min_cycles_per_edge(g, w)
+    the per-edge cycles of `min_cycles_per_edge` on w scaled once to
+    integers. Every cycle weighs at least the per-edge value of each of its
+    edges, so the weight is the minimum; ties are broken as there."""
+    den, iw = scale_to_ints(check_weights(g, w))
+    per_edge = min_cycles_per_edge(g, iw)
     if not per_edge:
         raise AcyclicGraphError("graph has no cycle")
     value, ids = min(per_edge.values())
-    return Cycle(frozenset(ids)), value
+    return Cycle(frozenset(ids)), Fraction(value, den)
 
 
-def min_cycles_per_edge(g: MultiGraph, w: Sequence[Fraction]
-                        ) -> dict[int, tuple[Fraction, tuple[int, ...]]]:
-    """For each edge on a cycle, a minimum-weight cycle through it as
-    (weight, sorted edge ids): a loop alone, else the edge e=(u,v) plus the
-    u-v path avoiding e found by `_lex_dijkstra`. The weights are scaled
-    once per call to integers over the lcm of their denominators; a positive
-    scale keeps every order and every tie, so the labels and the tie-break
-    are those of the Fraction weights."""
-    w = check_weights(g, w)
-    den, iw = scale_to_ints(w)
+def min_cycles_per_edge(g: MultiGraph, iw: Sequence[int]
+                        ) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """For each edge on a cycle, a minimum-weight cycle through it under the
+    nonnegative integer edge weights iw, as (weight, sorted edge ids): a
+    loop alone, else the edge e=(u,v) plus the u-v path avoiding e found by
+    `_lex_dijkstra`."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
     for e, (u, v) in enumerate(g.edges):
         if u != v:
             adj[u].append((e, v))
             adj[v].append((e, u))
-    out: dict[int, tuple[Fraction, tuple[int, ...]]] = {}
+    out: dict[int, tuple[int, tuple[int, ...]]] = {}
     for e, (u, v) in enumerate(g.edges):
         if u == v:
-            out[e] = (w[e], (e,))
+            out[e] = (iw[e], (e,))
             continue
         label = _lex_dijkstra(adj, iw, u, v, avoid_edge=e)
         if label is not None:
             dist, path = label
-            out[e] = (Fraction(dist + iw[e], den), tuple(sorted(path + (e,))))
+            out[e] = (dist + iw[e], tuple(sorted(path + (e,))))
     return out
 
 

@@ -11,12 +11,13 @@ solve_maxmin solves the full problem by cutting planes, each round resuming
 the previous round's pivot path (a cold solve, the empty LP's) from the last
 tableau kept, every 4 pivots, before its new rows first change it, with the
 minimum-weight-cycle search (resp. a Gray-code walk over the nonzero F2 dual
-vectors) as separation oracle, and verify_maxmin checks both sides of every
-optimum, given in ints and Fractions: primal weights reaching the value, and
-a dual distribution over forms whose largest load is the value. Neither
-checker shares oracle code with its solver: the systole checker asks the
-value-only `min_cycle_value`, and the cogirth checker enumerates the dual
-vectors plainly; both sum the weights scaled once to integers.
+vectors) as separation oracle, all on integers over lp_max's divisor;
+Fractions are built after the last round. verify_maxmin checks both sides
+of every optimum, given in ints and Fractions: primal weights reaching the
+value, and a dual distribution over forms whose largest load is the value.
+Neither checker shares oracle code with its solver: the systole checker
+asks the value-only `min_cycle_value`, and the cogirth checker enumerates
+the dual vectors plainly; both sum the weights scaled once to integers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .graph import (Cycle, EdgeWeights, MultiGraph, betti, check_weights,
 from .matroid import BinaryMatroid, WeightedRep
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _eliminate(rows: list[list[int]], pr: list[int], enter: int, d: int) -> list[list[int]]:
@@ -55,10 +55,10 @@ def _eliminate(rows: list[list[int]], pr: list[int], enter: int, d: int) -> list
 
 
 def lp_max(n: int, ub: Sequence[frozenset[int]],
-           trail: list) -> tuple[tuple[Rat, ...], Rat, tuple[Rat, ...]]:
+           trail: list) -> tuple[tuple[int, ...], int, tuple[int, ...], int]:
     """Maximize t over distributions lam on n items subject to t <= lam(S)
     for every row S (an index set) of ub, by simplex with Bland's
-    anti-cycling rule. Returns (lam, t, duals), one dual per row.
+    anti-cycling rule. Returns (lam, t, duals, d): numerators over d, one dual per row.
 
     Variables: lam_0..lam_{n-1}, then t = n, then row r's slack n + 1 + r.
     The start is the feasible basis that phase 1 of a two-phase simplex
@@ -125,8 +125,8 @@ def lp_max(n: int, ub: Sequence[frozenset[int]],
     # A nonbasic lam_j is 0. The objective row's rhs is -d * t; the dual of
     # a row is minus the reduced cost of its slack, 0 while that is basic.
     rhs, cost = {j: row[n] for j, row in zip(basis, tab)}, dict(zip(cols, obj))
-    return (tuple(Fraction(rhs.get(j, 0), d) for j in range(n)), Fraction(-obj[n], d),
-            tuple(Fraction(-cost.get(j, 0), d) for j in range(n + 1, n + 1 + k)))
+    return (tuple(rhs.get(j, 0) for j in range(n)), -obj[n],
+            tuple(-cost.get(j, 0) for j in range(n + 1, n + 1 + k)), d)
 
 
 def _load(row: frozenset[int], w: Sequence[Rat]) -> Rat:
@@ -135,10 +135,11 @@ def _load(row: frozenset[int], w: Sequence[Rat]) -> Rat:
 
 def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
     """max over distributions lam on n items of min lam(S) over the rows S
-    (index sets) of an implicit family, by cutting planes: separate(lam)
-    returns the family's minimum and candidate rows, and those lam violates
-    join the LP. Returns lam, the value, the active rows in the order they
-    joined, and the LP duals as a distribution over rows.
+    (index sets) of an implicit family, by cutting planes: separate(lam), on
+    lam's numerators over the LP divisor, returns the family's minimum on that
+    scale and candidate rows; those lam violates join the LP. Returns the
+    Fraction lam, the value, the active rows in the order they joined, and
+    the LP duals as a distribution over rows.
 
     Every round must make progress: the family's minimum cannot exceed the
     LP value, and below it there must be a violated row not yet in the LP,
@@ -146,20 +147,20 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
     breaks either raises VerificationError instead of looping."""
     rows, trail = list(seeds), []
     while True:
-        lam, t, duals = lp_max(n, rows, trail)
+        lam, t, duals, d = lp_max(n, rows, trail)
         got, new = separate(lam)
         if got == t:
             break
-        den, iw = scale_to_ints(lam)
-        violated = [s for s in new if sum(iw[i] for i in s) < t * den]
+        violated = [s for s in new if sum(lam[i] for i in s) < t]
         if got > t or not violated or not set(rows).isdisjoint(violated):
-            raise VerificationError(
-                f"cutting-plane round made no progress at t = {t} (oracle minimum {got})")
+            raise VerificationError(f"cutting-plane round made no progress at "
+                                    f"t = {Fraction(t, d)} (oracle minimum {Fraction(got, d)})")
         rows.extend(violated)
     # Rows are nonempty, so t > 0 is basic at the optimum and its reduced
     # cost 1 - sum y is 0: the duals already form a distribution.
-    dual = sorted(((s, y) for s, y in zip(rows, duals) if y), key=lambda p: sorted(p[0]))
-    return tuple(lam), t, rows, dual
+    dual = sorted(((s, Fraction(y, d)) for s, y in zip(rows, duals) if y),
+                  key=lambda p: sorted(p[0]))
+    return tuple(Fraction(x, d) for x in lam), Fraction(t, d), rows, dual
 
 
 def verify_maxmin(n: int, weights: Sequence[Rat], value: Rat, minimum, support,
@@ -205,10 +206,10 @@ class SystoleResult:
 
 def _seed_cycles(g: MultiGraph) -> list[frozenset[int]]:
     """Minimum cycles at uniform weights, and through each edge weighing 0."""
-    seeds = {min_weight_cycle(g, [ONE] * g.m)[0].edge_ids}
+    seeds = {min_weight_cycle(g, [1] * g.m)[0].edge_ids}
     for e in range(g.m):
-        w = [ONE] * g.m
-        w[e] = ZERO
+        w = [1] * g.m
+        w[e] = 0
         ids = min_weight_cycle(g, w)[0].edge_ids
         if e in ids:
             seeds.add(ids)
@@ -291,11 +292,10 @@ def _min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tuple[R
     return (None, None) if best is None else (Fraction(best[0], den), best[1])
 
 
-def _gray_min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tuple[Rat, int]:
-    """_min_dual_vector for d >= 1 by a Gray-code walk: with lam scaled to
-    integers over one denominator D, flipping bit k of v changes f_lam(v)
-    only on the columns that have bit k, each joining or leaving the sum."""
-    den, weights = scale_to_ints(lam)
+def _gray_min_dual_vector(cols: Sequence[int], weights: Sequence[int], d: int) -> tuple[int, int]:
+    """_min_dual_vector for d >= 1 on integer weights, by a Gray-code walk:
+    flipping bit k of v changes f(v) only on the columns that have bit k,
+    each joining or leaving the sum."""
     merged: dict[int, int] = {}
     for c, w in zip(cols, weights):
         if c:
@@ -319,7 +319,7 @@ def _gray_min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tu
             cell[0] = -cell[0]
         if best is None or f < best or (f == best and v < best_v):
             best, best_v = f, v
-    return Fraction(best, den), best_v
+    return best, best_v
 
 
 def cogirth(m: BinaryMatroid) -> CogirthResult:
@@ -368,7 +368,9 @@ def c_of_rep(r: WeightedRep) -> tuple[Rat, int]:
     check_guard((1 << d) - 1, (1 << 12) - 1, "c_of_rep dual-vector enumeration")
     if d == 0:
         raise PreconditionError("c_of_rep of a rank-0 representation")
-    return _gray_min_dual_vector(r.h.mod2().col_masks(), r.mult, d)
+    den, mult = scale_to_ints(r.mult)
+    value, v = _gray_min_dual_vector(r.h.mod2().col_masks(), mult, d)
+    return Fraction(value, den), v
 
 
 STable = dict[int, Rat]

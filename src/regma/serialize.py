@@ -46,6 +46,8 @@ def load_weights(path: str, m: int) -> tuple[Fraction, ...]:
         raise InputError(f"expected {m} weights, got {len(vals)}")
     if any(x < 0 for x in vals):
         raise InputError(f"negative entry in weight file {path}")
+    if sum(vals) == 0:
+        raise InputError(f"weight file {path} has total 0")
     return tuple(vals)
 
 
@@ -130,17 +132,12 @@ def parse_matroid_expr(expr: str) -> BinaryMatroid:
         return sum1(parse_matroid_expr(args[0]), parse_matroid_expr(args[1]))
     (x, s1), (y, s2) = _split_at(args[0]), _split_at(args[1])
     m1, m2 = parse_matroid_expr(x), parse_matroid_expr(y)
-    if head == "sum2":
-        return sum2(m1, _selected(m1, s1), m2, _selected(m2, s2))
-    return sum3(m1, [_selected(m1, a) for a in _parse_triple(s1)],
-                m2, [_selected(m2, a) for a in _parse_triple(s2)])
-
-
-def _selected(m: BinaryMatroid, label: str) -> str:
-    """A selector label, which must name a ground element of m."""
-    if label not in m.labels:
-        raise InputError(f"no ground element labeled {label!r}")
-    return label
+    try:  # an unknown label or a selection that cannot be glued
+        if head == "sum2":
+            return sum2(m1, s1, m2, s2)
+        return sum3(m1, _parse_triple(s1), m2, _parse_triple(s2))
+    except PreconditionError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _split_args(body: str) -> list[str]:

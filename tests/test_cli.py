@@ -246,7 +246,8 @@ class TestOthers:
         path.write_text("3 2\n0 1\n1 2\n")
         rc, out, err = run_cli("matroid-build",
                                f"sum2(graphic({path})@e1, graphic({path})@e0)")
-        assert (rc, out) == (1, "")
+        # a selection that cannot be glued is malformed input
+        assert (rc, out) == (2, "")
         assert err.splitlines() == ["error: a 2-sum cannot glue two coloops"]
 
     def test_matroid_build_free_dual(self):
@@ -370,6 +371,28 @@ class TestMalformedInput:
         rc, out, err = run_cli(*command)
         assert (rc, out) == (2, "")
         assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("first,message", [
+        ("e0,e0,e1", "3-sum needs three distinct elements"),
+        ("e0,e1,e2", "3-sum triple must sum to zero over F2"),
+    ], ids=["repeated", "nonzero-sum"])
+    def test_malformed_sum3_selection(self, first, message):
+        rc, out, err = run_cli(
+            "cogirth", f"sum3(graphic(builtin:k5)@{{{first}}}, graphic(builtin:k5)@{{e0,e4,e1}})")
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("command,size", [
+        (["systole", "builtin:k4", "--weights"], 6),
+        (["c-rep", "r10", "--mult"], 10),
+        (["involutions6", "graphic(builtin:k4)", "--mult"], 6),
+    ], ids=["systole-weights", "c-rep-mult", "involutions6-mult"])
+    def test_zero_total_weight(self, tmp_path, command, size):
+        wfile = tmp_path / "zeros.txt"
+        wfile.write_text("0\n" * size)
+        rc, out, err = run_cli(*command, str(wfile))
+        assert (rc, out) == (2, "")
+        assert err.splitlines() == [f"error: weight file {wfile} has total 0"]
 
     def test_deeply_nested_expression(self):
         rc, _, err = run_cli("cogirth", "dual(" * 1200 + "r10" + ")" * 1200)

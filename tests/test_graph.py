@@ -12,6 +12,7 @@ from regma import optimize
 from regma.catalog import catalog
 from regma.errors import (AcyclicGraphError, DisconnectedGraphError,
                           PreconditionError)
+from regma.exact import scale_to_ints
 from regma.graph import (Cycle, MultiGraph, betti, edge_cut_below,
                          fundamental_cycles, girth, is_three_edge_connected,
                          min_cycle_value, min_cycles_per_edge, min_weight_cycle,
@@ -19,6 +20,15 @@ from regma.graph import (Cycle, MultiGraph, betti, edge_cut_below,
 from regma.optimize import systole
 
 THETA = MultiGraph(2, ((0, 1), (0, 1), (0, 1)))
+
+
+def scaled_min_cycles(g, w):
+    """The integer `min_cycles_per_edge` on the Fraction weights w scaled
+    once to integers, its integer values read back as Fractions."""
+    den, iw = scale_to_ints(w)
+    got = min_cycles_per_edge(g, iw)
+    assert all(type(value) is int for value, _ in got.values())
+    return {e: (Fraction(value, den), ids) for e, (value, ids) in got.items()}
 
 
 def cycle_space_oracle(g):
@@ -209,7 +219,7 @@ class TestMinCyclesPerEdge:
                 weight = sum(w[x] for x in c.edge_ids)
                 for e in c.edge_ids:
                     want[e] = min(want.get(e, weight), weight)
-            got = min_cycles_per_edge(g, w)
+            got = scaled_min_cycles(g, w)
             assert {e: value for e, (value, _) in got.items()} == want
             for e, (value, ids) in got.items():
                 c = Cycle.from_edges(g, ids)
@@ -234,8 +244,9 @@ def random_weighted_multigraph(rng):
 
 
 class TestMinCyclesOracle:
-    """The integer `min_cycles_per_edge` keeps the Fraction search's labels
-    and tie-break, so its dict equals `oracle_cycles`' label for label."""
+    """The integer `min_cycles_per_edge` on weights scaled to integers keeps
+    the Fraction search's labels and tie-break, so its dict, read back as
+    Fractions, equals `oracle_cycles`' label for label."""
 
     def test_random_multigraphs(self):
         rng = random.Random(1212)
@@ -243,7 +254,7 @@ class TestMinCyclesOracle:
                 "zero": 0, "mixed": 0}
         for _ in range(2000):
             g, w = random_weighted_multigraph(rng)
-            got = min_cycles_per_edge(g, w)
+            got = scaled_min_cycles(g, w)
             want = oracle_cycles.min_cycles_per_edge(g, w)
             assert got == want and repr(got) == repr(want), (g, w)
             seen["empty"] += g.n == 0
@@ -256,7 +267,8 @@ class TestMinCyclesOracle:
 
     def test_separation_calls_of_systole(self, monkeypatch):
         # every weight vector the cutting planes separate, recorded through
-        # a wrapper
+        # a wrapper: the LP's integer numerators, on whose scale the
+        # Fraction oracle must agree too
         calls = []
 
         def record(g, lam):
@@ -268,6 +280,7 @@ class TestMinCyclesOracle:
             systole(catalog(name))
         assert len(calls) == 7 + 5 + 6 + 10
         for g, lam in calls:
+            assert all(type(x) is int for x in lam)
             got = min_cycles_per_edge(g, lam)
             assert got == oracle_cycles.min_cycles_per_edge(g, lam)
 

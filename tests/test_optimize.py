@@ -16,9 +16,10 @@ from conftest import random_connected_multigraph
 from regma import graph, optimize
 from regma.catalog import catalog
 from regma.errors import AcyclicGraphError, PreconditionError, VerificationError
-from regma.exact import scale_to_ints
+from regma.exact import BitMatrix, scale_to_ints
 from regma.graph import Cycle, MultiGraph, betti, girth, min_cycles_per_edge
-from regma.matroid import WeightedRep, cographic, dual, graphic, r10
+from regma.matroid import (BinaryMatroid, WeightedRep, cographic, dual, graphic, r10,
+                           simplify)
 from regma.optimize import (C_TABLE, S_TABLE, CogirthResult, SystoleResult,
                             bound_decomposable, bound_large_girth,
                             bound_small_cycle, c_of_rep, cogirth, lp_max,
@@ -67,6 +68,15 @@ def random_family(rng, n=None):
     return n, rows
 
 
+def as_fractions(got):
+    """lp_max's (lam, t, duals, d), integer numerators over d > 0, as the
+    Fractions (lam, t, duals)."""
+    lam, t, duals, d = got
+    assert all(type(x) is int for x in (*lam, t, *duals, d)) and d > 0
+    return (tuple(Fraction(x, d) for x in lam), Fraction(t, d),
+            tuple(Fraction(y, d) for y in duals))
+
+
 def assert_same_solution(n, rows, got):
     """lp_max(n, rows, []) equals the general two-phase oracle on the same LP:
     maximise t subject to sum lam = 1 and t - lam(S) <= 0 for each row."""
@@ -75,6 +85,7 @@ def assert_same_solution(n, rows, got):
     want = oracle_lp.lp_max([0] * n + [1], eq, ub)
     assert want.status == "optimal"
     want = (want.primal[:n], want.value, want.dual_ub)
+    got = as_fractions(got)
     assert got == want and repr(got) == repr(want), (n, rows)
 
 
@@ -90,7 +101,7 @@ class TestLP:
 
         for trial in range(60):
             n, rows = random_family(rng)
-            lam, t, duals = lp_max(n, rows, [])
+            lam, t, duals = as_fractions(lp_max(n, rows, []))
             res = linprog([0] * n + [-1],
                           A_ub=[[-1 if i in s else 0 for i in range(n)] + [1] for s in rows],
                           b_ub=[0] * len(rows), A_eq=[[1] * n + [0]], b_eq=[1],
@@ -276,6 +287,23 @@ class TestLPTrail:
         assert (len(issued), warm, count["pivots"] - warm) == (28, 282, 578)
 
 
+def count_scaling(monkeypatch):
+    """A Counter of the calls of scale_to_ints and check_weights, through
+    wrappers installed wherever graph and optimize bind them."""
+    count = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            count[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn in (scale_to_ints, graph.check_weights):
+        for module in (graph, optimize):
+            monkeypatch.setattr(module, fn.__name__, counted(fn))
+    return count
+
+
 class TestSystole:
     @pytest.mark.parametrize("name,value", [
         ("theta", Fraction(2, 3)), ("k4", Fraction(1, 2)),
@@ -336,14 +364,14 @@ class TestSystole:
         g = MultiGraph(2, ((0, 1), (0, 1), (0, 1), (0, 0)))
         assert systole(g).value == Fraction(2, 5)
 
-        def heavier(g, w):
-            out = min_cycles_per_edge(g, w)
-            out[3] = (out[3][0] + 10, out[0][1])
+        def heavier(g, iw):
+            out = min_cycles_per_edge(g, iw)
+            out[3] = (out[3][0] + 10 * sum(iw), out[0][1])
             return out
 
         monkeypatch.setattr(graph, "min_cycles_per_edge", heavier)
         monkeypatch.setattr(optimize, "min_cycles_per_edge", heavier)
-        with pytest.raises(VerificationError):
+        with pytest.raises(VerificationError, match="certificate failed"):
             systole(g)
 
     @pytest.mark.parametrize("name,lps,oracle_calls", [
@@ -369,6 +397,16 @@ class TestSystole:
         monkeypatch.setattr(optimize, "min_cycles_per_edge", oracle)
         systole(catalog(name))
         assert counts == {"lp_max": lps, "min_cycles_per_edge": oracle_calls}
+
+    @pytest.mark.parametrize("name", ["petersen", "moebius_kantor"])
+    def test_scaling_only_at_the_fraction_callers(self, monkeypatch, name):
+        # the cutting-plane loop runs on integers: weights are checked and
+        # scaled once in each of the m + 1 seed searches and once in the
+        # checker, whatever the round count, and never in a round
+        g = catalog(name)
+        count = count_scaling(monkeypatch)
+        systole(g)
+        assert count == {"scale_to_ints": g.m + 2, "check_weights": g.m + 2}
 
     @pytest.mark.parametrize("solve,verify,arg", [
         ("systole", "verify_systole", "catalog('k4')"),
@@ -397,11 +435,43 @@ class TestSystole:
         assert proc.returncode == 0, proc.stderr
 
 
+def with_columns(rank, cols):
+    """The binary matroid of the given rank whose columns are the F2 masks cols."""
+    rep = BitMatrix(len(cols), rank, tuple(cols)).transpose()
+    return BinaryMatroid(tuple(f"e{i}" for i in range(len(cols))), rep)
+
+
 class TestCogirth:
     def test_r10(self):
         res = cogirth(r10())
         assert res.value == Fraction(2, 5)
         assert verify_cogirth(r10(), res)
+
+    @pytest.mark.parametrize("expr", ["r10", "cographic(builtin:heawood)"])
+    def test_scaling_only_in_the_checker(self, monkeypatch, expr):
+        # the dual-vector walk takes the LP's integers, so the one scaling
+        # of a cogirth solve is verify_cogirth's, whatever the round count
+        m = parse_matroid_expr(expr)
+        count = count_scaling(monkeypatch)
+        cogirth(m)
+        assert count == {"scale_to_ints": 1}
+
+    @pytest.mark.parametrize("expr", ["r10", "graphic(builtin:k5)", "graphic(builtin:k33)",
+                                      "cographic(builtin:petersen)", "cographic(builtin:f14)"])
+    def test_deletion_monotonicity(self, expr):
+        # c(M \ e) <= c(M) when e is not a coloop: M \ e has M's rank and
+        # dual vectors, and an optimal weighting of M \ e extended by 0 on e
+        # keeps every f_lambda(v). A loop is in no support and parallel
+        # copies can merge their weights, so adding them keeps c, and so
+        # does simplifying them away again
+        m = parse_matroid_expr(expr)
+        cols, value = m.columns, cogirth(m).value
+        for e in range(m.size):
+            rest = [i for i in range(m.size) if i != e]
+            assert m.subset_rank(rest) == m.rank  # these matroids have no coloop
+            assert cogirth(with_columns(m.rank, [cols[i] for i in rest])).value <= value
+        padded = with_columns(m.rank, cols + [0, cols[0], cols[-1], cols[-1]])
+        assert cogirth(padded).value == value == cogirth(simplify(padded)[0]).value
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_complete_graphs(self, d):
@@ -667,14 +737,18 @@ class TestGrayKernel:
             # both sum integers; the third side sums the Fractions plainly
             fractions = min((sum((lam[i] for i in optimize._dual_support(v, cols)),
                                  Fraction(0)), v) for v in range(1, 1 << d))
-            assert (optimize._gray_min_dual_vector(cols, lam, d)
-                    == optimize._min_dual_vector(cols, lam, d) == fractions)
+            # the walk takes lam scaled to integers and returns an integer
+            den, weights = scale_to_ints(lam)
+            value, v = optimize._gray_min_dual_vector(cols, weights, d)
+            assert type(value) is int
+            assert (Fraction(value, den), v) == optimize._min_dual_vector(cols, lam, d) \
+                == fractions
 
     def test_least_vector_among_ties(self):
-        # columns 01 and 11 at equal weights: f(01) = 1 and f(10) = f(11) = 1/2;
+        # columns 01 and 11 at equal weights: f(01) = 2 and f(10) = f(11) = 1;
         # the walk meets 11 before 10 and must still return the least, 10
+        assert optimize._gray_min_dual_vector([1, 3], [1, 1], 2) == (1, 2)
         half = Fraction(1, 2)
-        assert optimize._gray_min_dual_vector([1, 3], [half, half], 2) == (half, 2)
         assert optimize._min_dual_vector([1, 3], [half, half], 2) == (half, 2)
 
     def test_c_of_rep_unchanged(self, k4, k33):

@@ -167,6 +167,21 @@ def test_checkers_share_no_search_code_with_solvers():
     assert sorted(reached & SOLVER_SEARCH) == []
 
 
+# The solve loop runs on integers: the LP returns numerators over its
+# divisor and the oracles take and return integers on that scale. Weights
+# are scaled where Fractions enter (min_weight_cycle, c_of_rep), and the
+# result's Fractions are built after the last round (solve_maxmin).
+INTEGER_LOOP = ("optimize.lp_max", "graph._lex_dijkstra", "graph.min_cycles_per_edge",
+                "optimize._gray_min_dual_vector")
+
+
+def test_solve_loop_reads_no_fractions():
+    found = {name: sorted(_names_read(_top_level_def(name))
+                          & {"Fraction", "scale_to_ints", "check_weights"})
+             for name in INTEGER_LOOP}
+    assert found == {name: [] for name in INTEGER_LOOP}
+
+
 # Public names that state a result of the paper and have no command yet:
 # the library keeps them for users, so they need no reader in src/ or
 # perfbench/. An entry that gains such a reader leaves this list.
