@@ -6,7 +6,9 @@ Systole and cogirth both maximise, over the simplex, the minimum of 0/1
 linear forms. The one LP solved is that max-min LP over the active rows:
 lp_max starts from the known feasible basis (lam_0 on sum lam = 1, every
 slack basic) and pivots by Bland's rule on a fraction-free integer tableau
-of the nonbasic columns (Bareiss pivots over one common divisor, as in lrs).
+of the nonbasic columns (Bareiss pivots over one common divisor, as in lrs),
+each row packed into one int with a signed slot per column, wide enough by
+Hadamard's bound that a row update is one exact big-int expression.
 solve_maxmin solves the full problem by cutting planes, each round resuming
 the previous round's pivot path (a cold solve, the empty LP's) from the last
 tableau kept, every 4 pivots, before its new rows first change it, with the
@@ -36,21 +38,33 @@ from .matroid import BinaryMatroid, WeightedRep
 ZERO = Fraction(0)
 
 
-def _eliminate(rows: list[list[int]], pr: list[int], enter: int, d: int) -> list[list[int]]:
-    """rows after the Bareiss pivot on p = pr[enter] over divisor d, as new
-    lists: pr gets d in column enter, each other row M_i becomes exactly
-    (p·M_i − f·pr) / d with −f there, f = M_i[enter]. Pivoting again undoes it."""
-    p, out = pr[enter], []
-    for ri in rows:
-        f = ri[enter]
-        if ri is pr:
-            ri = pr[:enter] + [d] + pr[enter + 1:]
-        elif f:
-            ri = [(p * x - f * y) // d for x, y in zip(ri, pr)]
-            ri[enter] = -f
-        elif p != d:
-            ri = [p * x // d for x in ri]
-        out.append(ri)
+def _width(n: int) -> int:
+    """The least slot width K with 2^(K-1) above Hadamard's bound
+    (n + 2)^((n+2)/2) on a minor of order n + 2 of a 0/±1 matrix."""
+    return (((n + 2) ** (n + 2)).bit_length() + 3) // 2
+
+
+def _pack(xs: Sequence[int], width: int) -> int:
+    """The row xs as one int: xs[c] in the signed slot of width bits at bit
+    width·c, so that the int is sum of xs[c]·2^(width·c)."""
+    return sum(x << width * c for c, x in enumerate(xs))
+
+
+def _eliminate(rows: list[int], col: list[int], pr: int, p: int, at: int, d: int,
+               leave: int | None) -> list[int]:
+    """Packed rows after the Bareiss pivot on entry p of the packed row pr,
+    in the slot at bit `at`, over divisor d; col[i] is rows[i]'s entry f in
+    that slot, and rows[leave] is pr (None: pr is not among them). Row pr
+    gets d in the slot; each other row R becomes (p·R − f·pr) / d with −f in
+    the slot, computed as (p·R − f·(pr + d·2^at)) / d: two big-int products
+    and one division for all its slots. Slot by slot, that numerator is d
+    times the new row (Bareiss), so the division is exact, and its quotient
+    is the packed new row. Pivoting again undoes it."""
+    q = pr + (d << at)
+    out = [(p * r - f * q) // d if f else p * r // d if p != d else r
+           for r, f in zip(rows, col)]
+    if leave is not None:
+        out[leave] = pr + ((d - p) << at)
     return out
 
 
@@ -70,6 +84,14 @@ def lp_max(n: int, ub: Sequence[frozenset[int]],
     column of the true tableau M / d is a unit vector, so every pivot is
     that of the rational tableau. With a row the LP is bounded (t <= 1).
 
+    Each row of M is packed into one int (_pack), column c in the slot of
+    K = _width(n) bits at bit K·c and the rhs in slot n; K depends on n
+    alone, so a trail keeps its width. Every entry, d and the objective row
+    included, is a minor of order at most n + 2 of the LP's 0/±1 matrix,
+    so Hadamard's bound keeps it strictly inside the signed slot: the
+    packed rows add, scale and divide exactly as their entries do, and a
+    pivot is a few big-int operations per row.
+
     lp_max overwrites trail with its pivots (enter, pivot row, divisor) and
     its tableau every 4 pivots and at the end; [] is the trail of the empty
     LP: no pivots, its sum and objective rows kept at step 0. Bland's rule
@@ -78,15 +100,29 @@ def lp_max(n: int, ub: Sequence[frozenset[int]],
     variable, loses ties), so every pivot is the cold solve's."""
     if n < 1 or not ub:
         raise PreconditionError("the max-min LP needs at least one item and one row")
+    K = _width(n)
+    # r + bias has every slot in [0, 2^K), so a slot reads off by shift and mask.
+    half, mask, top = 1 << K - 1, (1 << K) - 1, K * n
+    bias = half * (((1 << K * (n + 1)) - 1) // mask)
+    # r + lift holds entry + half - 1 in each slot, so a slot's top bit (in
+    # bias) is set exactly where r's entry is positive. In the objective row
+    # that marks the improving columns: its rhs, -d * t, is never positive.
+    lift = bias - bias // half
+
+    def entry(r: int, at: int) -> int:  # written out in the pivot loop, the hot path
+        return ((r + bias >> at) & mask) - half
+
     # Row 0 is sum lam = 1 with lam_0 basic, the last row the objective row:
     # d times the reduced costs. A new row r is t - lam(S) + slack_r = 0,
     # plus row 0 where S holds item 0, which eliminates lam_0.
     m, old, path, kept = trail or (n, [], [], {0: (
-        [[1] * (n - 1) + [0, 1], [0] * (n - 1) + [1, 0]], 1, list(range(1, n + 1)), [0])})
+        [_pack([1] * (n - 1) + [0, 1], K), _pack([0] * (n - 1) + [1, 0], K)], 1,
+        list(range(1, n + 1)), [0])})
     if m != n or list(ub[:len(old)]) != old:
         raise PreconditionError("the trail is not of an LP on a prefix of these rows")
     k = len(ub)
-    new = [[(0 in s) - (i in s) for i in range(1, n)] + [1, int(0 in s)] for s in ub[len(old):]]
+    new = [_pack([(0 in s) - (i in s) for i in range(1, n)] + [1, int(0 in s)], K)
+           for s in ub[len(old):]]
     slacks, keep = list(range(n + 1 + len(old), n + 1 + k)), {}
     for s in range(len(path) + 1):
         if s in kept:
@@ -95,9 +131,12 @@ def lp_max(n: int, ub: Sequence[frozenset[int]],
         if s == len(path):
             break
         enter, pr, ds = path[s]
-        if any(r[enter] > 0 and r[n] * pr[enter] < pr[n] * r[enter] for r in new):
+        at = K * enter
+        p, b = entry(pr, at), entry(pr, top)
+        col = [entry(r, at) for r in new]
+        if any(a > 0 and entry(r, top) * p < b * a for r, a in zip(new, col)):
             break
-        new = _eliminate(new, pr, enter, ds)
+        new = _eliminate(new, col, pr, p, at, ds, None)
     tab, d, cols, basis = keep[last := max(keep)]
     cols, basis, steps = cols[:], basis[:], path[:last]
     while True:
@@ -105,26 +144,37 @@ def lp_max(n: int, ub: Sequence[frozenset[int]],
             keep[len(steps)] = tab, d, cols[:], basis[:]
         # Bland's rule: the improving column of least variable, then the
         # least ratio (cross-multiplied), ties to the least basis variable.
-        obj = tab[-1]
-        enter = min((c for c in range(n) if obj[c] > 0), key=cols.__getitem__,
-                    default=None)
+        # The objective row is read by its signs alone, and the entering
+        # column once for both the ratio test and the pivot.
+        pos, enter = (tab[-1] + lift) & bias, None
+        while pos:
+            c = (pos.bit_length() - 1) // K
+            pos ^= half << K * c
+            if enter is None or cols[c] < cols[enter]:
+                enter = c
         if enter is None:
             break
+        at = K * enter
+        col = [((r + bias >> at) & mask) - half for r in tab]
         leave = -1
         for i in range(k + 1):
-            a = tab[i][enter]
-            if a > 0 and (leave < 0 or (tab[i][n] * den, basis[i]) < (num * a, basis[leave])):
-                leave, num, den = i, tab[i][n], a
+            a = col[i]
+            if a > 0:
+                b = (tab[i] + bias >> top) - half
+                if leave < 0 or (b * den, basis[i]) < (num * a, basis[leave]):
+                    leave, num, den = i, b, a
         if leave < 0:
             raise VerificationError("max-min LP found no leaving row")
-        steps.append((enter, tab[leave], d))
-        tab, d = _eliminate(tab, tab[leave], enter, d), tab[leave][enter]
+        pr, p = tab[leave], col[leave]
+        steps.append((enter, pr, d))
+        tab, d = _eliminate(tab, col, pr, p, at, d, leave), p
         cols[enter], basis[leave] = basis[leave], cols[enter]
     keep[len(steps)] = tab, d, cols[:], basis[:]
     trail[:] = n, list(ub), steps, keep
     # A nonbasic lam_j is 0. The objective row's rhs is -d * t; the dual of
     # a row is minus the reduced cost of its slack, 0 while that is basic.
-    rhs, cost = {j: row[n] for j, row in zip(basis, tab)}, dict(zip(cols, obj))
+    obj = [entry(tab[-1], K * c) for c in range(n + 1)]
+    rhs, cost = {j: entry(r, top) for j, r in zip(basis, tab)}, dict(zip(cols, obj))
     return (tuple(rhs.get(j, 0) for j in range(n)), -obj[n],
             tuple(-cost.get(j, 0) for j in range(n + 1, n + 1 + k)), d)
 

@@ -167,16 +167,45 @@ class TestLPOracle:
         assert len(issued) == 32 and max(len(rows) for _, rows, _ in issued) == 42
 
 
+def unpack(row, n):
+    """The n + 1 signed slots of a packed tableau row, read off low slot
+    first: the inverse of optimize._pack at the width of an LP on n items."""
+    width = optimize._width(n)
+    slots = []
+    for _ in range(n + 1):
+        x = row & ((1 << width) - 1)
+        if x >> (width - 1):
+            x -= 1 << width
+        slots.append(x)
+        row = (row - x) >> width
+    assert row == 0
+    return slots
+
+
+def assert_packed(n, trail):
+    """Every slot of every tableau that lp_max kept on n items, and of every
+    pivot row it recorded, lies strictly inside the signed slot, and
+    packing the slots gives the row back."""
+    width = optimize._width(n)
+    rows = [row for tab, _, _, _ in trail[3].values() for row in tab]
+    rows += [pr for _, pr, _ in trail[2]]
+    for row in rows:
+        slots = unpack(row, n)
+        assert all(-(1 << width - 1) < x < 1 << width - 1 for x in slots), (n, slots)
+        assert optimize._pack(slots, width) == row
+
+
 def count_pivots(monkeypatch):
     """A Counter of the pivots lp_max makes on its whole tableau, through a
     wrapper of optimize._eliminate. Carrying new rows along a recorded path
-    eliminates rows without the pivot row among them, and is not counted."""
+    eliminates rows without the pivot row among them (leave is None), and
+    is not counted."""
     count = Counter()
     eliminate = optimize._eliminate
 
-    def counted(rows, pr, enter, d):
-        count["pivots"] += any(r is pr for r in rows)
-        return eliminate(rows, pr, enter, d)
+    def counted(rows, col, pr, p, at, d, leave):
+        count["pivots"] += leave is not None
+        return eliminate(rows, col, pr, p, at, d, leave)
 
     monkeypatch.setattr(optimize, "_eliminate", counted)
     return count
@@ -203,6 +232,7 @@ class TestLPTrail:
             cold = lp_max(n, rows, cold_trail)
             assert warm == cold and repr(warm) == repr(cold), (n, rows)
             assert trail == cold_trail, (n, rows)
+            assert_packed(n, trail)
             made.append((middle - before, count["pivots"] - middle))
         return made, trail
 
@@ -227,7 +257,7 @@ class TestLPTrail:
         count = count_pivots(monkeypatch)
         F = frozenset
         made, trail = self.grow(3, [[F({0, 1}), F({0, 2})], [F({1})]], count)
-        assert made == [(1, 1), (2, 2)] and trail[2][0][1] == [-1, 0, 1, 0]
+        assert made == [(1, 1), (2, 2)] and unpack(trail[2][0][1], 3) == [-1, 0, 1, 0]
 
     def test_ratio_tie_goes_to_the_old_row(self, monkeypatch):
         # {1, 2} and the new {1} tie at ratio 0 in the first pivot; the old
@@ -237,7 +267,7 @@ class TestLPTrail:
         count = count_pivots(monkeypatch)
         F = frozenset
         made, trail = self.grow(3, [[F({1, 2})], [F({1})]], count)
-        assert made == [(2, 2), (0, 2)] and trail[2][0][1] == [-1, -1, 1, 0]
+        assert made == [(2, 2), (0, 2)] and unpack(trail[2][0][1], 3) == [-1, -1, 1, 0]
 
     def test_trail_of_another_lp_rejected(self):
         rows = [frozenset({0, 1}), frozenset({1, 2})]
@@ -258,15 +288,40 @@ class TestLPTrail:
             n, rows = random_family(rng)
             trail = []
             lp_max(n, rows, trail)
+            width = optimize._width(n)
             for tab, d, _, _ in trail[3].values():
+                slots = [unpack(row, n) for row in tab]
                 for r, c in itertools.product(range(len(tab) - 1), range(n)):
-                    p = tab[r][c]
+                    p = slots[r][c]
                     if p:
-                        once = optimize._eliminate(tab, tab[r], c, d)
-                        assert once[r][c] == d
-                        assert optimize._eliminate(once, once[r], c, p) == tab
+                        col = [row[c] for row in slots]
+                        once = optimize._eliminate(tab, col, tab[r], p, width * c, d, r)
+                        assert unpack(once[r], n)[c] == d
+                        col = [unpack(row, n)[c] for row in once]
+                        assert optimize._eliminate(once, col, once[r], d, width * c, p, r) == tab
                         checked += 1
         assert checked > 2000
+
+    def test_width_exceeds_hadamard(self):
+        # a tableau entry is a minor of order at most n + 2 of a 0/±1
+        # matrix, so at most (n + 2)^((n+2)/2) in size: 2^(K-1) exceeds
+        # that bound, and one bit less would not
+        for n in range(1, 201):
+            k = optimize._width(n)
+            assert 4 ** (k - 1) > (n + 2) ** (n + 2) >= 4 ** (k - 2), n
+
+    def test_wide_slots(self, monkeypatch):
+        # every benchmark LP has n <= 24 and fits 64-bit slots; these need
+        # wider ones, and equal the oracle and their cold solves all the same
+        count = count_pivots(monkeypatch)
+        rng = random.Random(2540)
+        for _ in range(40):
+            n = rng.randint(25, 40)
+            assert optimize._width(n) > 64
+            batches = [random_family(rng, n)[1] for _ in range(3)]
+            self.grow(n, batches, count)
+            rows = [s for batch in batches for s in batch]
+            assert_same_solution(n, rows, lp_max(n, rows, []))
 
     def test_pivot_counts(self, monkeypatch):
         # deterministic work: the pivots of the solvers' LPs along their
@@ -317,6 +372,16 @@ class TestSystole:
 
     def test_f13(self):
         assert systole(catalog("f13")).value == Fraction(8, 27)
+
+    @pytest.mark.parametrize("rungs,value", [
+        (10, Fraction(9, 50)), (12, Fraction(11, 72)), (13, Fraction(24, 169)),
+    ])
+    def test_wide_slot_ladders(self, rungs, value):
+        # m = 30, 36, 39 edges: the LP's slots are wider than 64 bits
+        g = catalog(f"moebius_ladder{rungs}")
+        assert optimize._width(g.m) > 64
+        res = systole(g)
+        assert res.value == value and verify_systole(g, res)
 
     def test_forest_rejected(self):
         with pytest.raises(AcyclicGraphError):

@@ -171,8 +171,8 @@ def test_checkers_share_no_search_code_with_solvers():
 # divisor and the oracles take and return integers on that scale. Weights
 # are scaled where Fractions enter (min_weight_cycle, c_of_rep), and the
 # result's Fractions are built after the last round (solve_maxmin).
-INTEGER_LOOP = ("optimize.lp_max", "graph._lex_dijkstra", "graph.min_cycles_per_edge",
-                "optimize._gray_min_dual_vector")
+INTEGER_LOOP = ("optimize.lp_max", "optimize._eliminate", "graph._lex_dijkstra",
+                "graph.min_cycles_per_edge", "optimize._gray_min_dual_vector")
 
 
 def test_solve_loop_reads_no_fractions():
