@@ -96,8 +96,10 @@ class IntMatrix:
         if indices and not (0 <= min(indices) and max(indices) < c):
             raise DimensionError(f"column index out of range({c})")
         e = self.entries
+        # with no columns there are no entries, and range() takes no step 0
         return IntMatrix(self.rows, len(indices),
-                         tuple([e[i + j] for i in range(0, self.rows * c, c) for j in indices]))
+                         tuple([e[i + j] for i in range(0, self.rows * c, c or 1)
+                                for j in indices]))
 
     def mod2(self) -> "BitMatrix":
         bits = []

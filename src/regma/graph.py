@@ -2,16 +2,16 @@
 connectivity, and reduction machinery used by the systole computations.
 
 Edges carry stable integer ids 0..m-1 given by their position in the edge
-list. Weights are nonnegative exact rationals, one per edge id.
+list. The cycle searches take nonnegative integer weights, one per edge id,
+and return integers; Fraction weights are checked and scaled once where
+they enter (`optimize.systole_weighted`, `optimize.verify_maxmin`), and a
+positive scale keeps every order and tie.
 
 Minimum cycles come from one search, `min_cycles_per_edge`: a minimum-weight
 cycle through each edge, by a Dijkstra whose labels carry the sorted edge
-ids. It takes integer weights: the LP's numerators over its divisor, or the
-weights of `min_weight_cycle`, the least of them, scaled once to integers;
-a positive scale keeps every order and tie, so the labels and their
-tie-break are those of the Fraction weights. The certificate checker asks
-`min_cycle_value` instead, a value-only Dijkstra on the weights scaled the
-same way, which shares no code with that search.
+ids; `min_weight_cycle` takes the least of them. The certificate checker
+asks `min_cycle_value` instead, a value-only Dijkstra that shares no code
+with that search; `girth` is its value at unit weights.
 
 The spanning tree enters through one table, `fundamental_cycles`. Edge cuts
 below three edges are read off it (Pritchard & Thurimella 2011): an edge is
@@ -32,7 +32,6 @@ from typing import Sequence
 
 from .errors import (AcyclicGraphError, DisconnectedGraphError, InputError,
                      PreconditionError, VerificationError)
-from .exact import scale_to_ints
 
 INFINITY = float("inf")
 
@@ -184,29 +183,7 @@ def betti(g: MultiGraph) -> int:
 def girth(g: MultiGraph) -> int | float:
     """Length of a shortest simple cycle; loops count 1, parallel pairs 2;
     infinity for forests."""
-    best = INFINITY
-    # Shortest cycle through each edge: 1 + BFS distance avoiding the edge;
-    # a loop's distance is 0 and a parallel copy's is 1.
-    for e, (u, v) in enumerate(g.edges):
-        dist = _bfs_dist(g, u, avoid_edge=e)
-        if dist[v] is not None and dist[v] + 1 < best:
-            best = dist[v] + 1
-    return best
-
-
-def _bfs_dist(g: MultiGraph, src: int, avoid_edge: int = -1) -> list[int | None]:
-    dist: list[int | None] = [None] * g.n
-    dist[src] = 0
-    queue = [src]
-    for x in queue:
-        for e in g.incidence[x]:
-            if e == avoid_edge:
-                continue
-            y = g.other_end(e, x)
-            if dist[y] is None:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+    return min_cycle_value(g, [1] * g.m) if betti(g) else INFINITY
 
 
 def _bfs_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
@@ -291,17 +268,19 @@ def is_three_edge_connected(g: MultiGraph) -> bool:
     return g.is_connected() and edge_cut_below(g, 3) is None
 
 
-def min_weight_cycle(g: MultiGraph, w: Sequence[Fraction]) -> tuple[Cycle, Fraction]:
-    """Minimum-weight simple cycle: the least (weight, sorted edge ids) of
-    the per-edge cycles of `min_cycles_per_edge` on w scaled once to
-    integers. Every cycle weighs at least the per-edge value of each of its
-    edges, so the weight is the minimum; ties are broken as there."""
-    den, iw = scale_to_ints(check_weights(g, w))
+def min_weight_cycle(g: MultiGraph, iw: Sequence[int]) -> tuple[Cycle, int]:
+    """Minimum-weight simple cycle under the nonnegative integer edge
+    weights iw: the least (weight, sorted edge ids) of the per-edge cycles
+    of `min_cycles_per_edge`. Every cycle weighs at least the per-edge value
+    of each of its edges, so the weight is the minimum; ties are broken as
+    there."""
+    if len(iw) != g.m or any(x < 0 for x in iw):
+        raise PreconditionError(f"need {g.m} nonnegative weights")
     per_edge = min_cycles_per_edge(g, iw)
     if not per_edge:
         raise AcyclicGraphError("graph has no cycle")
     value, ids = min(per_edge.values())
-    return Cycle(frozenset(ids)), Fraction(value, den)
+    return Cycle(frozenset(ids)), value
 
 
 def min_cycles_per_edge(g: MultiGraph, iw: Sequence[int]
@@ -361,13 +340,13 @@ def _lex_dijkstra(adj: list[list[tuple[int, int]]], iw: Sequence[int], src: int,
     return None
 
 
-def min_cycle_value(g: MultiGraph, w: Sequence[Fraction]) -> Fraction:
-    """The least cycle weight alone: over the edges, a loop's weight or an
-    edge (u, v) plus the u-v distance avoiding it. A plain Dijkstra on the
-    weights scaled once to integers, with no path labels and no tie-break;
-    it shares no code with `min_cycles_per_edge`, so a checker built on it
-    does not vouch for the solver's oracle with that same oracle."""
-    den, iw = scale_to_ints(check_weights(g, w))
+def min_cycle_value(g: MultiGraph, iw: Sequence[int]) -> int:
+    """The least cycle weight alone under the nonnegative integer edge
+    weights iw: over the edges, a loop's weight or an edge (u, v) plus the
+    u-v distance avoiding it. A plain Dijkstra with no path labels and no
+    tie-break; it shares no code with `min_cycles_per_edge`, so a checker
+    built on it does not vouch for the solver's oracle with that same
+    oracle."""
     best = None
     for e, (u, v) in enumerate(g.edges):
         d = 0 if u == v else _dijkstra_dist(g, iw, u, v, avoid_edge=e)
@@ -375,7 +354,7 @@ def min_cycle_value(g: MultiGraph, w: Sequence[Fraction]) -> Fraction:
             best = d + iw[e]
     if best is None:
         raise AcyclicGraphError("graph has no cycle")
-    return Fraction(best, den)
+    return best
 
 
 def _dijkstra_dist(g: MultiGraph, iw: Sequence[int], src: int, dst: int,

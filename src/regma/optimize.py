@@ -15,11 +15,12 @@ tableau kept, every 4 pivots, before its new rows first change it, with the
 minimum-weight-cycle search (resp. a Gray-code walk over the nonzero F2 dual
 vectors) as separation oracle, all on integers over lp_max's divisor;
 Fractions are built after the last round. verify_maxmin checks both sides
-of every optimum, given in ints and Fractions: primal weights reaching the
-value, and a dual distribution over forms whose largest load is the value.
-Neither checker shares oracle code with its solver: the systole checker
-asks the value-only `min_cycle_value`, and the cogirth checker enumerates
-the dual vectors plainly; both sum the weights scaled once to integers.
+of every optimum, given in ints and Fractions, on integers: it puts the
+value, the weights and the dual probabilities over one denominator once,
+then checks primal weights reaching the value and a dual distribution over
+forms whose largest load is the value. Neither checker shares oracle code
+with its solver: the systole checker asks the value-only `min_cycle_value`,
+and the cogirth checker enumerates the dual vectors plainly.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .exact import Rat, scale_to_ints
 from .graph import (Cycle, EdgeWeights, MultiGraph, betti, check_weights,
                     min_cycle_value, min_cycles_per_edge, min_weight_cycle)
 from .matroid import BinaryMatroid, WeightedRep
-
-ZERO = Fraction(0)
 
 
 def _width(n: int) -> int:
@@ -179,10 +178,6 @@ def lp_max(n: int, ub: Sequence[frozenset[int]],
             tuple(-cost.get(j, 0) for j in range(n + 1, n + 1 + k)), d)
 
 
-def _load(row: frozenset[int], w: Sequence[Rat]) -> Rat:
-    return sum((w[i] for i in row), ZERO)
-
-
 def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
     """max over distributions lam on n items of min lam(S) over the rows S
     (index sets) of an implicit family, by cutting planes: separate(lam), on
@@ -218,28 +213,31 @@ def verify_maxmin(n: int, weights: Sequence[Rat], value: Rat, minimum, support,
     """Both sides of a max-min certificate: the weights are a distribution
     on n items whose oracle minimum and tight rows weigh value, and dual is
     a distribution over rows whose largest load on an item is value.
-    support(row) is the row's index set, or None for an invalid row."""
-    w = tuple(weights)
-    if not all(isinstance(x, (int, Fraction)) for x in (*w, value, *(y for _, y in dual))):
+    support(row) is the row's index set, or None for an invalid row. All
+    numbers are put over one denominator den once, so every test runs on
+    integers, minimum(iw) included: the weights and the dual sum to den."""
+    w, dual = tuple(weights), tuple(dual)
+    ys = tuple(y for _, y in dual)
+    if not all(isinstance(x, (int, Fraction)) for x in (value, *w, *ys)):
         return False
-    if len(w) != n or any(x < 0 for x in w) or sum(w, ZERO) != 1:
+    if len(w) != n or any(x < 0 for x in (*w, *ys)):
         return False
-    if minimum(w) != value:
+    den, ints = scale_to_ints((value, *w, *ys))
+    iv, iw, iy = ints[0], ints[1:n + 1], ints[n + 1:]
+    if sum(iw) != den or minimum(iw) != iv:
         return False
     for row in tight:
         s = support(row)
-        if s is None or _load(s, w) != value:
+        if s is None or sum(iw[i] for i in s) != iv:
             return False
-    total = ZERO
-    load = [ZERO] * n
-    for row, y in dual:
+    load = [0] * n
+    for (row, _), y in zip(dual, iy):
         s = support(row)
-        if s is None or y < 0:
+        if s is None:
             return False
-        total += y
         for i in s:
             load[i] += y
-    return total == 1 and max(load) == value
+    return sum(iy) == den and max(load) == iv
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,7 @@ def _seed_cycles(g: MultiGraph) -> list[frozenset[int]]:
 
 def systole(g: MultiGraph) -> SystoleResult:
     """Exact sys(G) = max over probability edge weights of the minimum cycle
-    weight, via cutting planes with min_weight_cycle as separation oracle
+    weight, via cutting planes with min_cycles_per_edge as separation oracle
     (all violated per-edge minimum cycles join the active set each round)."""
     if betti(g) == 0:
         raise AcyclicGraphError("systole of a forest")
@@ -278,7 +276,7 @@ def systole(g: MultiGraph) -> SystoleResult:
         return per_edge[0][0], [frozenset(ids) for _, ids in per_edge]
 
     lam, t, rows, dual = solve_maxmin(g.m, _seed_cycles(g), separate)
-    res = SystoleResult(t, lam, tuple(Cycle(s) for s in rows if _load(s, lam) == t),
+    res = SystoleResult(t, lam, tuple(Cycle(s) for s in rows if sum(lam[i] for i in s) == t),
                         tuple((Cycle(s), y) for s, y in dual))
     if not verify_systole(g, res):
         raise VerificationError("systole certificate failed verification")
@@ -303,15 +301,16 @@ def verify_systole(g: MultiGraph, res: SystoleResult) -> bool:
 
 
 def systole_weighted(g: MultiGraph, w: Sequence[Rat]) -> tuple[Rat, Cycle]:
-    """sys(G, w) = min cycle weight / total weight, with witness cycle."""
-    w = check_weights(g, w)
-    total = sum(w, ZERO)
+    """sys(G, w) = min cycle weight / total weight, with witness cycle, on
+    w scaled once to integers: the common denominator cancels."""
+    _, iw = scale_to_ints(check_weights(g, w))
+    total = sum(iw)
     if total == 0:
         raise PreconditionError("total weight must be positive")
     if betti(g) == 0:
         raise AcyclicGraphError("weighted systole of a forest")
-    c, v = min_weight_cycle(g, w)
-    return v / total, c
+    c, v = min_weight_cycle(g, iw)
+    return Fraction(v, total), c
 
 
 @dataclass(frozen=True)
@@ -332,14 +331,13 @@ def _dual_support(v: int, cols: Sequence[int]) -> frozenset[int]:
     return frozenset(i for i, c in enumerate(cols) if (v & c).bit_count() & 1)
 
 
-def _min_dual_vector(cols: Sequence[int], lam: Sequence[Rat], d: int) -> tuple[Rat, int]:
-    """(least f_lam(v) over nonzero dual vectors v, least v attaining it),
-    by plain enumeration on lam scaled once to integers: verify_cogirth's
-    oracle, which shares no code with the solver's _gray_min_dual_vector."""
-    den, weights = scale_to_ints(lam)
-    best = min(((sum(w for c, w in zip(cols, weights) if (v & c).bit_count() & 1), v)
-                for v in range(1, 1 << d)), default=None)
-    return (None, None) if best is None else (Fraction(best[0], den), best[1])
+def _min_dual_vector(cols: Sequence[int], weights: Sequence[int], d: int) -> tuple[int, int]:
+    """(least f(v) over nonzero dual vectors v, least v attaining it) on the
+    nonnegative integer weights, (None, None) for d = 0, by plain
+    enumeration: verify_cogirth's oracle, which shares no code with the
+    solver's _gray_min_dual_vector."""
+    return min(((sum(w for c, w in zip(cols, weights) if (v & c).bit_count() & 1), v)
+                for v in range(1, 1 << d)), default=(None, None))
 
 
 def _gray_min_dual_vector(cols: Sequence[int], weights: Sequence[int], d: int) -> tuple[int, int]:

@@ -293,7 +293,7 @@ def test_criterion_8_embedding_certificates():
         assert verify_certificate(g, cert)
         done.append(name)
     hea = catalog("heawood")
-    hexagon, _ = min_weight_cycle(hea, [Fraction(1)] * hea.m)
+    hexagon, _ = min_weight_cycle(hea, [1] * hea.m)
     assert len(hexagon) == 6
     cert = embeds_in(hea, 0, True, face=hexagon)
     assert cert is not None and verify_certificate(hea, cert, hexagon)

@@ -254,6 +254,18 @@ class TestOthers:
         rc, out, _ = run_cli("matroid-build", "dual(graphic(builtin:k2))")
         assert rc == 0 and out.startswith("0 1")
 
+    def test_no_columns(self, tmp_path):
+        # simplify of a graph with no edges leaves a lift with no columns
+        path = tmp_path / "point"
+        path.write_text("1 0\n")
+        expr = f"simplify(graphic({path}))"
+        rc, out, err = run_cli("matroid-build", expr)
+        assert rc == 0 and out.startswith("0 0")
+        assert err.splitlines() == ["rank 0, 0 elements, lift present"]
+        rc, out, err = run_cli("cogirth", expr)
+        assert (rc, out) == (1, "")
+        assert err.splitlines() == ["error: cogirth of a rank-0 matroid"]
+
     def test_verify_tables(self):
         rc, out, err = run_cli("verify-tables", "--max-b", "3")
         assert rc == 0

@@ -241,6 +241,12 @@ class TestSelectCols:
                 assert self.M.select_cols(idx) == want == self.M.select_cols(list(idx))
         assert self.M.select_cols([]) == IntMatrix(3, 0, ())
 
+    def test_no_columns(self):
+        empty = IntMatrix(2, 0, ())
+        assert empty.select_cols([]) == empty
+        with pytest.raises(DimensionError):
+            empty.select_cols([0])
+
     @pytest.mark.parametrize("idx", [[-1], [3], [0, -3], [2, 3], [4]])
     def test_out_of_range(self, idx):
         with pytest.raises(DimensionError):

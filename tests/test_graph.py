@@ -9,7 +9,8 @@ import oracle_cycles
 from oracle_cycles import enumerate_cycles
 from conftest import random_connected_multigraph
 from regma import optimize
-from regma.catalog import catalog
+from regma.catalog import _BUILDERS as CATALOG_BUILDERS, catalog
+from regma.cubicgen import generate_cubic
 from regma.errors import (AcyclicGraphError, DisconnectedGraphError,
                           PreconditionError)
 from regma.exact import scale_to_ints
@@ -72,7 +73,14 @@ class TestBetti:
         assert betti(sub) == betti(k4)
 
 
+def brute_force_girth(g):
+    return min((len(c) for c in enumerate_cycles(g)), default=float("inf"))
+
+
 class TestGirth:
+    """girth is the checker's min_cycle_value at unit weights, so it is
+    checked here against the brute-force minimum over all cycles."""
+
     def test_named(self, petersen, heawood):
         assert girth(petersen) == 5
         assert girth(heawood) == 6
@@ -81,6 +89,36 @@ class TestGirth:
     def test_loop_and_parallel(self):
         assert girth(MultiGraph(1, ((0, 0),))) == 1
         assert girth(THETA) == 2
+
+    def test_no_vertices(self):
+        assert girth(MultiGraph(0, ())) == float("inf")
+
+    def test_matches_enumeration_on_random_multigraphs(self):
+        rng = random.Random(2929)
+        seen = {"forest": 0, "split": 0, "loop": 0, "parallel": 0}
+        for _ in range(300):
+            g, _ = random_weighted_multigraph(rng)
+            assert girth(g) == brute_force_girth(g), g
+            seen["forest"] += betti(g) == 0
+            seen["split"] += len(g.components()) > 1
+            seen["loop"] += any(u == v for u, v in g.edges)
+            seen["parallel"] += len({tuple(sorted(e)) for e in g.edges}) < g.m
+        assert min(seen.values()) > 20
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_BUILDERS) + [
+        "k2", "k5", "k6", "moebius_ladder5", "moebius_ladder7"])
+    def test_catalog(self, name):
+        g = catalog(name)
+        assert girth(g) == brute_force_girth(g)
+
+    def test_three_edge_connected_cubic(self):
+        # 1, 2, 4, 14 and 57 graphs on 4 to 12 vertices
+        count = 0
+        for n in range(4, 13, 2):
+            for g in generate_cubic(n, three_edge_connected=True):
+                assert girth(g) == brute_force_girth(g), g
+                count += 1
+        assert count == 78
 
 
 class TestEdgeCut:
@@ -168,33 +206,39 @@ class TestEdgeCutOracles:
 
 class TestMinWeightCycle:
     def test_theta_uniform(self):
-        c, v = min_weight_cycle(THETA, [Fraction(1, 3)] * 3)
-        assert v == Fraction(2, 3) and sorted(c.edge_ids) == [0, 1]
+        c, v = min_weight_cycle(THETA, [1] * 3)
+        assert v == 2 and type(v) is int and sorted(c.edge_ids) == [0, 1]
 
     def test_moebius_ladder_weights(self):
         g = catalog("g54")
-        w = [Fraction(1, 16)] * 8 + [Fraction(2, 16)] * 4
-        _, v = min_weight_cycle(g, w)
-        assert v == Fraction(3, 8)
+        _, v = min_weight_cycle(g, [1] * 8 + [2] * 4)
+        assert v == 6
 
     def test_zero_weight_loop(self):
         g = MultiGraph(3, ((0, 1), (1, 2), (0, 2), (1, 1)))
-        w = [Fraction(1)] * 3 + [Fraction(0)]
-        c, v = min_weight_cycle(g, w)
+        c, v = min_weight_cycle(g, [1] * 3 + [0])
         assert v == 0 and c.edge_ids == frozenset([3])
 
     def test_forest_rejected(self):
         with pytest.raises(AcyclicGraphError):
-            min_weight_cycle(MultiGraph(2, ((0, 1),)), [Fraction(1)])
+            min_weight_cycle(MultiGraph(2, ((0, 1),)), [1])
+
+    @pytest.mark.parametrize("w", [[1] * 5, [1] * 7, [1] * 5 + [-1]])
+    def test_malformed_weights_rejected(self, k4, w):
+        # a public entry: the length and signs are checked, as they were
+        # when it took Fractions
+        with pytest.raises(PreconditionError):
+            min_weight_cycle(k4, w)
 
     def test_matches_enumeration_on_random_graphs(self, rng):
         for _ in range(40):
             g = random_connected_multigraph(rng, max_edges=14)
             w = [Fraction(rng.randint(0, 30), rng.randint(1, 9)) for _ in range(g.m)]
-            c, v = min_weight_cycle(g, w)
+            den, iw = scale_to_ints(w)
+            c, v = min_weight_cycle(g, iw)
             cycles = enumerate_cycles(g)
             best = min(sum(w[e] for e in c2.edge_ids) for c2 in cycles)
-            assert v == best
+            assert Fraction(v, den) == best
             # the reported tie-break is the lexicographically least edge set
             best_sets = sorted(sorted(c2.edge_ids) for c2 in cycles
                                if sum(w[e] for e in c2.edge_ids) == best)
@@ -291,19 +335,22 @@ class TestMinCycleValue:
         acyclic = 0
         for _ in range(400):
             g, w = random_weighted_multigraph(rng)
+            den, iw = scale_to_ints(w)
             cycles = enumerate_cycles(g)
             if not cycles:
                 acyclic += 1
                 with pytest.raises(AcyclicGraphError):
-                    min_cycle_value(g, w)
+                    min_cycle_value(g, iw)
                 continue
             want = min(sum(w[e] for e in c.edge_ids) for c in cycles)
-            assert min_cycle_value(g, w) == want == min_weight_cycle(g, w)[1]
+            value = min_cycle_value(g, iw)
+            assert type(value) is int and value == min_weight_cycle(g, iw)[1]
+            assert Fraction(value, den) == want
         assert 20 < acyclic < 200
 
     def test_table_witnesses_at_uniform_weights(self, petersen, heawood):
-        assert min_cycle_value(petersen, [Fraction(1, 15)] * 15) == Fraction(1, 3)
-        assert min_cycle_value(heawood, [Fraction(1)] * 21) == 6
+        assert min_cycle_value(petersen, [1] * 15) == 5
+        assert min_cycle_value(heawood, [1] * 21) == 6
 
 
 class TestEnumerateCycles:

@@ -355,7 +355,8 @@ def count_scaling(monkeypatch):
 
     for fn in (scale_to_ints, graph.check_weights):
         for module in (graph, optimize):
-            monkeypatch.setattr(module, fn.__name__, counted(fn))
+            if hasattr(module, fn.__name__):
+                monkeypatch.setattr(module, fn.__name__, counted(fn))
     return count
 
 
@@ -465,13 +466,19 @@ class TestSystole:
 
     @pytest.mark.parametrize("name", ["petersen", "moebius_kantor"])
     def test_scaling_only_at_the_fraction_callers(self, monkeypatch, name):
-        # the cutting-plane loop runs on integers: weights are checked and
-        # scaled once in each of the m + 1 seed searches and once in the
-        # checker, whatever the round count, and never in a round
-        g = catalog(name)
+        # the seeds, the cutting-plane loop and the checker's oracle run on
+        # integers: the one scaling of a systole solve is the certificate's
+        # in verify_maxmin, whatever the round count, and nothing checks
+        # Fraction weights
         count = count_scaling(monkeypatch)
-        systole(g)
-        assert count == {"scale_to_ints": g.m + 2, "check_weights": g.m + 2}
+        systole(catalog(name))
+        assert count == {"scale_to_ints": 1}
+
+    def test_weighted_scales_once(self, monkeypatch, heawood):
+        # the user's weights are checked and scaled once, where they enter
+        count = count_scaling(monkeypatch)
+        assert systole_weighted(heawood, [Fraction(1, 21)] * 21)[0] == Fraction(2, 7)
+        assert count == {"scale_to_ints": 1, "check_weights": 1}
 
     @pytest.mark.parametrize("solve,verify,arg", [
         ("systole", "verify_systole", "catalog('k4')"),
@@ -512,10 +519,12 @@ class TestCogirth:
         assert res.value == Fraction(2, 5)
         assert verify_cogirth(r10(), res)
 
-    @pytest.mark.parametrize("expr", ["r10", "cographic(builtin:heawood)"])
+    @pytest.mark.parametrize("expr", ["r10", "cographic(builtin:heawood)",
+                                      "graphic(builtin:k5)"])
     def test_scaling_only_in_the_checker(self, monkeypatch, expr):
-        # the dual-vector walk takes the LP's integers, so the one scaling
-        # of a cogirth solve is verify_cogirth's, whatever the round count
+        # the dual-vector walk and the checker's enumeration take integers,
+        # so the one scaling of a cogirth solve is the certificate's in
+        # verify_maxmin, whatever the round count
         m = parse_matroid_expr(expr)
         count = count_scaling(monkeypatch)
         cogirth(m)
@@ -733,7 +742,8 @@ class TestExactCertificates:
         forgeries = list(one_step_forgeries(res.weights, res.value))
         assert forgeries
         for w, value in forgeries:
-            assert optimize._min_dual_vector(m.columns, w, m.rank)[0] < value
+            _, (iv, *iw) = scale_to_ints((value, *w))
+            assert optimize._min_dual_vector(m.columns, iw, m.rank)[0] < iv
             forged = CogirthResult(value, w, res.witness, res.dual)
             assert verify_cogirth(m, forged) is False
 
@@ -742,7 +752,8 @@ class TestExactCertificates:
         forgeries = list(one_step_forgeries(res.weights, res.value))
         assert forgeries
         for w, value in forgeries:
-            assert graph.min_cycle_value(heawood, w) < value
+            _, (iv, *iw) = scale_to_ints((value, *w))
+            assert graph.min_cycle_value(heawood, iw) < iv
             forged = SystoleResult(value, w, res.tight_cycles, res.dual_dist)
             assert verify_systole(heawood, forged) is False
 
@@ -806,21 +817,22 @@ class TestGrayKernel:
             den, weights = scale_to_ints(lam)
             value, v = optimize._gray_min_dual_vector(cols, weights, d)
             assert type(value) is int
-            assert (Fraction(value, den), v) == optimize._min_dual_vector(cols, lam, d) \
-                == fractions
+            assert (value, v) == optimize._min_dual_vector(cols, weights, d)
+            assert (Fraction(value, den), v) == fractions
 
     def test_least_vector_among_ties(self):
         # columns 01 and 11 at equal weights: f(01) = 2 and f(10) = f(11) = 1;
         # the walk meets 11 before 10 and must still return the least, 10
         assert optimize._gray_min_dual_vector([1, 3], [1, 1], 2) == (1, 2)
-        half = Fraction(1, 2)
-        assert optimize._min_dual_vector([1, 3], [half, half], 2) == (half, 2)
+        assert optimize._min_dual_vector([1, 3], [1, 1], 2) == (1, 2)
 
     def test_c_of_rep_unchanged(self, k4, k33):
         for m in (r10(), graphic(k4), cographic(k33)):
             rep = WeightedRep.uniform(m.lift)
             cols = rep.h.mod2().col_masks()
-            assert c_of_rep(rep) == optimize._min_dual_vector(cols, rep.mult, m.rank)
+            den, mult = scale_to_ints(rep.mult)
+            value, v = optimize._min_dual_vector(cols, mult, m.rank)
+            assert c_of_rep(rep) == (Fraction(value, den), v)
 
     def test_c_of_rep_rank_zero(self):
         rep = WeightedRep.uniform(parse_matroid_expr("dual(graphic(builtin:k2))").lift)
@@ -832,7 +844,7 @@ class TestGrayKernel:
         # planes at graphic(K4)'s vertex stars (value 2/3, true value 1/2);
         # verify_cogirth enumerates on its own and rejects the result
         def wrong(cols, lam, d):
-            return min((optimize._load(optimize._dual_support(1 << k, cols), lam), 1 << k)
+            return min((sum(lam[i] for i in optimize._dual_support(1 << k, cols)), 1 << k)
                        for k in range(d))
 
         monkeypatch.setattr(optimize, "_gray_min_dual_vector", wrong)

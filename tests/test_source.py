@@ -167,12 +167,15 @@ def test_checkers_share_no_search_code_with_solvers():
     assert sorted(reached & SOLVER_SEARCH) == []
 
 
-# The solve loop runs on integers: the LP returns numerators over its
-# divisor and the oracles take and return integers on that scale. Weights
-# are scaled where Fractions enter (min_weight_cycle, c_of_rep), and the
-# result's Fractions are built after the last round (solve_maxmin).
+# The solve loop and the checkers' oracles run on integers: the LP returns
+# numerators over its divisor and the oracles take and return integers on
+# that scale. Weights are scaled where Fractions enter (systole_weighted,
+# verify_maxmin, c_of_rep), and the result's Fractions are built after the
+# last round (solve_maxmin).
 INTEGER_LOOP = ("optimize.lp_max", "optimize._eliminate", "graph._lex_dijkstra",
-                "graph.min_cycles_per_edge", "optimize._gray_min_dual_vector")
+                "graph.min_cycles_per_edge", "optimize._gray_min_dual_vector",
+                "graph.min_weight_cycle", "graph.min_cycle_value",
+                "graph._dijkstra_dist", "optimize._min_dual_vector")
 
 
 def test_solve_loop_reads_no_fractions():
