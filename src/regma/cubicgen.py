@@ -295,6 +295,7 @@ def generate_cubic(n: int, min_girth: int = 3,
             raise VerificationError(f"generated graph has Betti number {betti(g)}")
         if three_edge_connected and not is_three_edge_connected(g):
             raise VerificationError("generated graph is not 3-edge-connected")
-        if girth(g) < min_girth:
+        # a simple graph has girth at least 3
+        if min_girth > 3 and girth(g) < min_girth:
             continue
         yield g

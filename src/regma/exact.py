@@ -1,8 +1,9 @@
 """Exact arithmetic kernel: arbitrary-precision integer and rational linear
 algebra, F2 linear algebra on packed bitmasks, the Hermite normal form and
 integer kernel lattices, and the odd-determinant regularity test: a
-depth-first walk over the Q-independent column prefixes, with one exact
-determinant per basis.
+depth-first walk over the Q-independent column prefixes that carries each
+candidate column's reduction down the walk, with one exact determinant per
+basis, built from its columns.
 
 Rationals are fractions.Fraction values (always stored reduced with a
 positive denominator, so equality is bit-exact). Integer matrices are
@@ -207,11 +208,13 @@ def _bareiss(m: IntMatrix) -> tuple[int, int]:
         pr = a[rank]
         p = pr[col]
         rest = range(col + 1, cols)
+        same = p == prev  # then a row with 0 under the pivot is unchanged
         for i in range(rank + 1, rows):
             ri = a[i]
             f = ri[col]
-            for j in rest:
-                ri[j] = (p * ri[j] - f * pr[j]) // prev
+            if f or not same:
+                for j in rest:
+                    ri[j] = (p * ri[j] - f * pr[j]) // prev
         prev = p
         rank += 1
     return rank, sign * prev
@@ -251,11 +254,14 @@ def odd_determinant_check(h: IntMatrix) -> OddDetVerdict:
     determinant in {0} or odd. The first offending column subset in
     lexicographic order is reported.
 
-    The scan walks the column subsets depth first in lexicographic order,
-    keeping a fraction-free echelon over Q of the chosen columns. A column
-    that reduces to zero makes the prefix dependent, so every completion has
-    determinant 0 and the subtree is skipped. Every leaf reached is a basis,
-    decided by one exact Bareiss `det`: an even value is the violation.
+    The scan walks the column subsets depth first in lexicographic order.
+    Each node carries its later candidate columns, each reduced over Q
+    against the chosen prefix; choosing one takes a single fraction-free
+    step of every later candidate against its reduced vector. A candidate
+    that reduces to zero is dependent on the prefix, so every completion
+    through it has determinant 0 and it is dropped. Every leaf reached is
+    a basis, decided by one exact Bareiss `det` of the matrix whose rows
+    are its columns: an even value is the violation.
     """
     d, n = h.rows, h.cols
     if rank_q(h) != d:
@@ -263,36 +269,35 @@ def odd_determinant_check(h: IntMatrix) -> OddDetVerdict:
     if d == 0:
         return OddDetVerdict(True)
     cols = [h.col(j) for j in range(n)]
-
     chosen: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot row, reduced column)
 
-    def scan(start: int) -> OddDetVerdict | None:
-        depth = len(chosen)
-        if depth == d:
-            dd = det(h.select_cols(chosen))
-            return None if dd & 1 else OddDetVerdict(False, tuple(chosen), dd)
-        # Upper range bound keeps enough columns to finish the subset.
-        for j in range(start, n - (d - depth) + 1):
-            w = cols[j]
-            for p, v in echelon:
-                if w[p]:
-                    a, b = v[p], w[p]
-                    w = [a * x - b * y for x, y in zip(w, v)]
-            g = gcd(*w)
-            if not g:
-                continue  # Q-dependent prefix: every completion is singular
-            w = [x // g for x in w]
-            echelon.append((next(i for i, x in enumerate(w) if x), w))
+    def scan(cand: list[tuple[int, list[int]]],
+             rows: tuple[int, ...]) -> OddDetVerdict | None:
+        last = len(chosen) == d - 1
+        # Leave enough candidates after each choice to finish the subset.
+        for i in range(len(cand) - (d - len(chosen)) + 1):
+            j, v = cand[i]
             chosen.append(j)
-            bad = scan(j + 1)
+            if last:  # a basis; det of the transpose is the same
+                dd = det(IntMatrix(d, d, rows + cols[j]))
+                bad = None if dd & 1 else OddDetVerdict(False, tuple(chosen), dd)
+            else:
+                p = next(r for r, x in enumerate(v) if x)
+                a, child = v[p], []
+                for k, w in cand[i + 1:]:
+                    if b := w[p]:
+                        w = [a * x - b * y for x, y in zip(w, v)]
+                        if not (g := gcd(*w)):
+                            continue  # Q-dependent on the prefix
+                        w = [x // g for x in w]
+                    child.append((k, w))
+                bad = scan(child, rows + cols[j])
             chosen.pop()
-            echelon.pop()
             if bad is not None:
                 return bad
         return None
 
-    bad = scan(0)
+    bad = scan([(j, list(c)) for j, c in enumerate(cols) if any(c)], ())
     return bad if bad is not None else OddDetVerdict(True)
 
 

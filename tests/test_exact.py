@@ -215,17 +215,135 @@ class TestOddDeterminantOracle:
 
         g = catalog(name)
         trees = round(nx.number_of_spanning_trees(nx.MultiGraph(list(g.edges))))
-        calls = []
+        calls, values = [], []
 
         def counted(m):
             calls.append(m.rows)
-            return det(m)
+            values.append(det(m))
+            return values[-1]
 
         monkeypatch.setattr(exact, "det", counted)
         for m in (graphic(g), cographic(g)):
             calls.clear()
+            values.clear()
             assert odd_determinant_check(m.lift).ok
             assert len(calls) == trees and set(calls) == {m.rank}, name
+            # a dependent leaf reaching det would return 0
+            assert 0 not in values, name
+
+
+def _sympy_violations(m):
+    """Column subsets with an even nonzero determinant, in lexicographic
+    order, and the lexicographically last basis: by sympy over all
+    subsets."""
+    from itertools import combinations
+
+    bad, last = [], None
+    for s in combinations(range(m.cols), m.rows):
+        d = sympy.Matrix(m.select_cols(s).to_rows()).det()
+        if d:
+            last = s
+            if d % 2 == 0:
+                bad.append((s, d))
+    return bad, last
+
+
+class TestCarriedCandidates:
+    """Matrices that the walk's carried list of reduced candidate columns
+    handles in its own way, against `oracle_odd_det` and sympy."""
+
+    CASES = {
+        "zero column first": [[0, 1, 0, 1, 1], [0, 0, 1, 1, -1]],
+        # the Fano matrix with a zero column inserted before column 3
+        "zero column in the middle": [[1, 0, 0, 0, 1, 1, 0, 1], [0, 1, 0, 0, 1, 0, 1, 1],
+                                      [0, 0, 1, 0, 0, 1, 1, 1]],
+        "zero columns, ok": [[1, 0, 0, 1, 0], [0, 0, 1, 1, 0]],
+        "equal and negated columns": [[1, 1, -1, 0, 1, -1], [0, 0, 0, 1, 1, 1],
+                                      [1, 1, -1, 1, 0, 0]],
+        "equal and negated, ok": [[1, 1, -1, 0, 0], [0, 0, 0, 1, -1]],
+        "n == d, odd": [[1, 1, 0], [0, 1, 1], [1, 0, 0]],
+        "n == d, even": [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+        "d == 1, ok": [[0, 1, -3, 0, 5]],
+        "d == 1, even": [[0, 1, -3, 4, 5]],
+        "violation only at the last basis, d = 2": [[1, 0, 1, 1], [0, 1, 1, -1]],
+        "violation only at the last basis, d = 3": [[0, -1, 0, 1, 1, -1],
+                                                    [1, 2, 1, -1, 1, 1],
+                                                    [1, 2, 1, -1, 1, 2]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_against_oracle_and_sympy(self, name):
+        m = IntMatrix.from_rows(self.CASES[name])
+        got = odd_determinant_check(m)
+        assert got == oracle_odd_det.odd_determinant_check(m)
+        bad, last = _sympy_violations(m)
+        if not bad:
+            assert got == exact.OddDetVerdict(True)
+            return
+        assert got == exact.OddDetVerdict(False, *bad[0])
+        if name.startswith("violation only at the last basis"):
+            assert [s for s, _ in bad] == [last]
+
+    def test_cases_cover_what_they_name(self):
+        C = self.CASES
+        assert not any(C["zero column first"][i][0] for i in range(2))
+        assert not any(r[3] for r in C["zero column in the middle"])
+        cols = list(zip(*C["equal and negated columns"]))
+        assert cols[0] == cols[1] and cols[2] == tuple(-x for x in cols[0])
+        assert len(C["n == d, odd"]) == len(C["n == d, odd"][0])
+        for name in ("n == d, odd", "d == 1, ok", "zero columns, ok",
+                     "equal and negated, ok"):
+            assert odd_determinant_check(IntMatrix.from_rows(C[name])).ok, name
+        for name in ("zero column first", "zero column in the middle",
+                     "equal and negated columns", "n == d, even", "d == 1, even"):
+            assert not odd_determinant_check(IntMatrix.from_rows(C[name])).ok, name
+
+
+def _gauss_pivot_steps(m):
+    """For each elimination step of m: (Bareiss pivot, previous Bareiss
+    pivot, whether a row below has 0 in the pivot column). Computed by
+    Gaussian elimination over Q with the same row choice (the first nonzero
+    entry at or below the current row): the Bareiss pivot is the leading
+    minor of the row-swapped matrix, the product of the Gaussian pivots so
+    far."""
+    a = [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+    steps, rank, prod = [], 0, Fraction(1)
+    for col in range(m.cols):
+        if rank == m.rows:
+            break
+        pos = next((i for i in range(rank, m.rows) if a[i][col]), None)
+        if pos is None:
+            continue
+        a[rank], a[pos] = a[pos], a[rank]
+        g = a[rank][col]
+        steps.append((prod * g, prod, any(not a[i][col] for i in range(rank + 1, m.rows))))
+        for i in range(rank + 1, m.rows):
+            f = a[i][col] / g
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        prod *= g
+        rank += 1
+    return steps
+
+
+class TestBareissSkip:
+    """`_bareiss` leaves a row with 0 under the pivot alone when the pivot
+    equals the previous one; when it is the negation, the row still flips."""
+
+    def test_sparse_unit_matrices_against_sympy(self):
+        rng = random.Random(31)
+        same = negated = 0
+        for _ in range(400):
+            k = rng.randint(6, 8)
+            rows = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(k)] for _ in range(k)]
+            m = IntMatrix.from_rows(rows)
+            sm = sympy.Matrix(rows)
+            assert det(m) == sm.det(), rows
+            assert rank_q(m) == sm.rank(), rows
+            for p, prev, zero_below in _gauss_pivot_steps(m):
+                same += zero_below and p == prev
+                negated += zero_below and p == -prev
+        # both cases occur many times, so a wrong skip shows
+        assert same > 200 and negated > 200, (same, negated)
 
 
 class TestSelectCols:
