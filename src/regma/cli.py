@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .cubicgen import generate_cubic
 from .errors import InputError, PreconditionError, RegmaError
 from .exact import format_rat, parse_rat
 from .graph import Cycle, betti, reduce_to_cubic
@@ -27,6 +28,7 @@ from .optimize import (CogirthResult, SystoleResult, c_of_rep, cogirth,
 from .serialize import (format_matroid, load_graph, load_weights,
                         parse_matroid_expr)
 from .surface import EmbeddingCertificate, embeds_in, verify_certificate
+from .tables import verify_tables
 
 
 def _emit(args, payload) -> None:
@@ -207,8 +209,6 @@ def _cmd_involutions6(args) -> int:
 
 
 def _cmd_gen_cubic(args) -> int:
-    from .cubicgen import generate_cubic
-
     if args.n < 4 or args.n % 2:
         raise InputError(f"--n must be an even number of at least 4, got {args.n}")
     count = 0
@@ -240,8 +240,6 @@ def _cmd_matroid_build(args) -> int:
 
 
 def _cmd_verify_tables(args) -> int:
-    from .tables import verify_tables
-
     if not 1 <= args.max_b <= 9:
         raise InputError(f"--max-b must be between 1 and 9, got {args.max_b}")
     if args.jobs < 1:
@@ -267,8 +265,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("systole", help="exact systole of a graph")
     p.add_argument("graph")
-    p.add_argument("--weights", help="weights file: compute sys(G, w) only")
-    p.add_argument("--check", help="verify a stored certificate instead")
+    alone = p.add_mutually_exclusive_group()
+    alone.add_argument("--weights", help="weights file: compute sys(G, w) only")
+    alone.add_argument("--check", help="verify a stored certificate instead")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_systole)
 

@@ -11,10 +11,12 @@ immutable row-major tuples. F2 matrices pack one Python int per row,
 bit j = column j.
 
 Each job is done once, here. `det` and `rank_q` share one fraction-free
-(Bareiss) elimination; `matroid` pushes weights forward by Cramer's rule
-over `det` and tests parallel columns by `rank_q`. `scale_to_ints` puts
-rationals over their least common denominator, where Fraction weights meet
-the integer searches and in the certificate checkers.
+(Bareiss) elimination, as F2 ranks, row-space equality and kernels share
+one reduced echelon form, `f2_echelon`; no other module reads its pivots.
+`matroid` pushes weights forward by Cramer's rule over `det` and tests
+parallel columns by `rank_q`. `scale_to_ints` puts rationals over their
+least common denominator, where Fraction weights meet the integer searches
+and in the certificate checkers.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionError, RankDeficientError
 
@@ -151,40 +153,38 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         return BitMatrix(self.cols, self.rows, tuple(self.col_masks()))
 
-    def rref(self) -> "BitMatrix":
-        """Reduced row echelon form (zero rows dropped)."""
-        work = list(self.bits)
-        pivots = []
-        r = 0
-        for j in range(self.cols):
-            pos = next((k for k in range(r, len(work)) if (work[k] >> j) & 1), None)
-            if pos is None:
-                continue
-            work[r], work[pos] = work[pos], work[r]
-            for k in range(len(work)):
-                if k != r and (work[k] >> j) & 1:
-                    work[k] ^= work[r]
-            pivots.append(j)
-            r += 1
-        return BitMatrix(r, self.cols, tuple(work[:r]))
-
 
 def rank_f2(m: BitMatrix) -> int:
-    """Rank over F2 via Gaussian elimination on row words."""
-    return f2_rank_words(list(m.bits))
+    """Rank over F2."""
+    return len(f2_echelon(m.bits))
 
 
-def f2_rank_words(words: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
+def f2_echelon(words: Iterable[int]) -> list[int]:
+    """Reduced row echelon form over F2 of bitmask rows (bit j = column j),
+    zero rows dropped. Each row's lowest set bit is its pivot, which no
+    other row has, and the rows are in pivot order, so the result depends
+    only on the row space."""
+    rows: list[int] = []
     for w in words:
-        for b in basis:
-            w = min(w, w ^ b)
+        for r in rows:
+            if w & r & -r:
+                w ^= r
         if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+            p = w & -w  # no row's pivot, and above the pivot of each row with it
+            rows = [r ^ w if r & p else r for r in rows]
+            rows.append(w)
+    return sorted(rows, key=lambda r: r & -r)
+
+
+def f2_kernel(words: Iterable[int], cols: int) -> list[int]:
+    """A basis of the x in F2^cols orthogonal to every row: for each column
+    j without a pivot, in order, bit j plus the pivot of each echelon row
+    that has bit j."""
+    rows = f2_echelon(words)
+    pivots = [r & -r for r in rows]
+    taken = sum(pivots)
+    return [b | sum(p for r, p in zip(rows, pivots) if r & b)
+            for b in (1 << j for j in range(cols)) if not b & taken]
 
 
 def _bareiss(m: IntMatrix) -> tuple[int, int]:

@@ -321,7 +321,7 @@ def _lex_dijkstra(adj: list[list[tuple[int, int]]], iw: Sequence[int], src: int,
     done = [False] * len(adj)
     while heap:
         dist, path, x = heapq.heappop(heap)
-        if done[x] or best[x] != (dist, path):
+        if done[x]:
             continue
         done[x] = True
         if x == dst:

@@ -13,10 +13,11 @@ lattice on which the glue rows vanish (_glue_lift), or, when a side has no
 lift or a 3-sum triple no signed zero sum, taken modulo the span of the
 glued vectors over F2 (_glue_f2). A 1-sum is the gluing without glue rows.
 
-The exact algebra is `exact`'s alone: a pushforward solves for its weights
-by Cramer's rule over `exact.det`, simplify tests merged columns for
-parallelism by `exact.rank_q`, and the lattices come from
-`exact.kernel_lattice_basis`.
+The exact algebra is `exact`'s alone: F2 ranks, the lift's row-space test
+and the F2 kernels behind `dual` and _glue_f2 come from `exact.f2_echelon`
+and `exact.f2_kernel`, a pushforward solves for its weights by Cramer's
+rule over `exact.det`, simplify tests merged columns for parallelism by
+`exact.rank_q`, and the lattices come from `exact.kernel_lattice_basis`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DisconnectedGraphError, PreconditionError, RankDeficientError
-from .exact import (BitMatrix, IntMatrix, Rat, det, f2_rank_words,
+from .exact import (BitMatrix, IntMatrix, Rat, det, f2_echelon, f2_kernel,
                     kernel_lattice_basis, odd_determinant_check, rank_f2,
                     rank_q)
 from .graph import MultiGraph, fundamental_cycles
@@ -56,7 +57,7 @@ class BinaryMatroid:
             if (self.lift.rows, self.lift.cols) != (d, n):
                 raise PreconditionError("lift shape mismatch")
             mod2 = self.lift.mod2()
-            if mod2 != self.rep and mod2.rref().bits != self.rep.rref().bits:
+            if mod2 != self.rep and f2_echelon(mod2.bits) != f2_echelon(self.rep.bits):
                 raise PreconditionError("lift mod 2 must span the same row space")
 
     @property
@@ -74,7 +75,7 @@ class BinaryMatroid:
 
     def subset_rank(self, subset: Sequence[int]) -> int:
         cols = self.columns
-        return f2_rank_words([cols[i] for i in subset])
+        return len(f2_echelon(cols[i] for i in subset))
 
     def label_index(self, label: str) -> int:
         try:
@@ -155,24 +156,9 @@ def dual(m: BinaryMatroid) -> BinaryMatroid:
     if m.lift is not None:
         lift = kernel_lattice_basis(m.lift).transpose()
         return BinaryMatroid(m.labels, lift.mod2(), lift, ("dual", m.provenance))
-    kernel = _kernel_basis_masks(m.rep)
+    kernel = f2_kernel(m.rep.bits, m.size)
     return BinaryMatroid(m.labels, BitMatrix(len(kernel), m.size, tuple(kernel)), None,
                          ("dual", m.provenance))
-
-
-def _kernel_basis_masks(rep: BitMatrix) -> list[int]:
-    rref = rep.rref()
-    n = rep.cols
-    pivots = [(w & -w).bit_length() - 1 for w in rref.bits]
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for j in free:
-        mask = 1 << j
-        for r, p in enumerate(pivots):
-            if (rref.bits[r] >> j) & 1:
-                mask |= 1 << p
-        out.append(mask)
-    return out
 
 
 def _glue_row(w1: Sequence[int], w2: Sequence[int]) -> list[int]:
@@ -204,7 +190,7 @@ def _glue_f2(rep1: BitMatrix, rep2: BitMatrix, drop1: Sequence[int],
     cols += [c << rep1.rows for j, c in enumerate(rep2.col_masks()) if j not in drop2]
     # Rows spanning the annihilator of span(killed): two vectors agree on
     # every row iff they differ by a killed combination.
-    quotient = _kernel_basis_masks(BitMatrix(len(killed), rep1.rows + rep2.rows, tuple(killed)))
+    quotient = f2_kernel(killed, rep1.rows + rep2.rows)
     return BitMatrix(len(quotient), len(cols), tuple(
         sum(((q & c).bit_count() & 1) << j for j, c in enumerate(cols)) for q in quotient))
 
@@ -258,7 +244,7 @@ def _triple_indices(m: BinaryMatroid, triple: Sequence[str]) -> list[int]:
         raise PreconditionError("3-sum triple must be nonzero")
     if cols[0] ^ cols[1] ^ cols[2]:
         raise PreconditionError("3-sum triple must sum to zero over F2")
-    if f2_rank_words(cols) != 2:
+    if len(f2_echelon(cols)) != 2:
         raise PreconditionError("3-sum triple must span a 2-dimensional space")
     return idx
 

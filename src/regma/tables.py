@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from multiprocessing import Pool
 
 from .catalog import catalog
 from .cubicgen import canonical_form, generate_cubic
@@ -100,6 +99,7 @@ def _exhaustive_item(b: int, jobs: int) -> dict:
     n = 2 * b - 2
     graphs = list(generate_cubic(n, three_edge_connected=True))
     if jobs > 1:
+        from multiprocessing import Pool  # loaded only when it is used
         with Pool(jobs) as pool:
             pairs = pool.map(_sys_worker, graphs)
     else:

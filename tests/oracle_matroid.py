@@ -7,13 +7,14 @@ enumerate exponentially many sets, so keep the matroids small."""
 from __future__ import annotations
 
 from regma.errors import PreconditionError
-from regma.matroid import BinaryMatroid, _kernel_basis_masks
+from regma.exact import f2_kernel
+from regma.matroid import BinaryMatroid
 
 
 def circuits(m: BinaryMatroid) -> list[tuple[int, ...]]:
     """Minimal dependent subsets = minimal supports of nonzero F2 kernel
     vectors of the representation."""
-    kernel = _kernel_basis_masks(m.rep)
+    kernel = f2_kernel(m.rep.bits, m.size)
     vecs = [0]
     for b in kernel:
         vecs += [v ^ b for v in vecs]

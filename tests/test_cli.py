@@ -51,6 +51,28 @@ class TestSystole:
         rc, _, err = run_cli("systole", str(gfile), "--check", str(cert))
         assert rc == 1 and "certificate FAILED" in err
 
+    TRIANGLE = "3 3\n0 1\n1 2\n0 2\n"
+    # sys of a triangle is 1 under any weights; this certificate claims 1/2
+    FORGED = {"value": "1/2", "weights": ["1/3", "1/3", "1/3"],
+              "tight_cycles": [[0, 1, 2]], "dual": [[[0, 1, 2], "1/2"]]}
+
+    def test_weights_with_check_is_a_usage_error(self, tmp_path):
+        # sys(G, w) reads no certificate, so --check next to --weights
+        # would report success for a forged one
+        gfile, wfile, cert = tmp_path / "g", tmp_path / "w", tmp_path / "cert.json"
+        gfile.write_text(self.TRIANGLE)
+        wfile.write_text("1/3\n1/3\n1/3\n")
+        cert.write_text(json.dumps(self.FORGED))
+        rc, out, err = run_cli("systole", str(gfile), "--weights", str(wfile),
+                               "--check", str(cert))
+        assert rc == 2 and out == ""
+        assert "not allowed with argument" in err and "certificate ok" not in err
+        rc, out, err = run_cli("systole", str(gfile), "--weights", str(wfile))
+        assert rc == 0 and json.loads(out)["value"] == "1"
+        assert "sys(G, w) = 1" in err
+        rc, out, err = run_cli("systole", str(gfile), "--check", str(cert))
+        assert rc == 1 and "certificate FAILED" in err
+
 
 class TestCogirth:
     def test_r10(self):

@@ -12,9 +12,10 @@ from regma.errors import DimensionError, RankDeficientError
 import oracle_lattice
 import oracle_odd_det
 from oracle_lattice import smith_normal_form
-from regma.exact import (IntMatrix, det, format_rat, hermite_row_form,
-                         kernel_lattice_basis, odd_determinant_check,
-                         parse_rat, rank_f2, rank_q, scale_to_ints)
+from regma.exact import (IntMatrix, det, f2_echelon, f2_kernel, format_rat,
+                         hermite_row_form, kernel_lattice_basis,
+                         odd_determinant_check, parse_rat, rank_f2, rank_q,
+                         scale_to_ints)
 from regma.matroid import R10_ROWS
 
 R10 = IntMatrix.from_rows([list(r) for r in R10_ROWS])
@@ -102,6 +103,105 @@ class TestRanks:
         assert time.perf_counter() - start < 0.5
         want = DomainMatrix([[ZZ(x) for x in r] for r in rows], (24, 90), ZZ).to_field().rank()
         assert got == want == rank
+
+
+def _random_f2_rows(rng):
+    """(rows, cols): 0-9 bitmask rows over 0-12 columns, mixing random rows
+    with zero rows, copies of an earlier row and sums of two earlier rows;
+    in about a third of the matrices a random set of columns stays zero."""
+    cols = rng.randint(0, 12)
+    dead = rng.getrandbits(cols) if rng.random() < 0.3 else 0
+    rows: list[int] = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(rng.choice(rows))
+        elif len(rows) >= 2 and kind < 0.3:
+            a, b = rng.sample(rows, 2)
+            rows.append(a ^ b)
+        elif kind < 0.4:
+            rows.append(0)
+        else:
+            rows.append(rng.getrandbits(cols) & ~dead)
+    return rows, cols
+
+
+F2_CASES = [_random_f2_rows(random.Random(3200 + i)) for i in range(2500)]
+
+
+def _span(vectors):
+    """Every F2 combination of the bitmask vectors, by brute force."""
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return out
+
+
+class TestF2Echelon:
+    """`f2_echelon` and `f2_kernel` on 2,500 seeded random bit matrices,
+    against sympy's GF(2) reduced echelon form and brute-force spans."""
+
+    def test_matches_sympy_rref(self):
+        from sympy import GF
+        from sympy.polys.matrices import DomainMatrix
+
+        K = GF(2)
+        for rows, cols in F2_CASES:
+            dm = DomainMatrix([[K((w >> j) & 1) for j in range(cols)] for w in rows],
+                              (len(rows), cols), K)
+            want = [sum((int(x) % 2) << j for j, x in enumerate(r))
+                    for r in dm.rref()[0].to_list()]
+            assert f2_echelon(rows) == [w for w in want if w], (rows, cols)
+
+    def test_row_space_independence_and_pivots(self):
+        for rows, cols in F2_CASES:
+            ech = f2_echelon(rows)
+            assert _span(ech) == _span(rows), (rows, cols)
+            assert len(_span(ech)) == 1 << len(ech), (rows, cols)
+            pivots = [w & -w for w in ech]
+            assert pivots == sorted(set(pivots)), (rows, cols)
+            assert all(not w & p for i, p in enumerate(pivots)
+                       for k, w in enumerate(ech) if k != i), (rows, cols)
+            assert rank_f2(exact.BitMatrix(len(rows), cols, tuple(rows))) == len(ech)
+
+    def test_kernel(self):
+        for rows, cols in F2_CASES:
+            ker = f2_kernel(rows, cols)
+            # cols - rank vectors, the rank read off the brute-force span
+            assert len(_span(rows)) == 1 << (cols - len(ker)), (rows, cols)
+            assert all(0 < x < 1 << cols for x in ker), (rows, cols)
+            assert all((x & w).bit_count() % 2 == 0 for x in ker for w in rows), (rows, cols)
+            assert len(_span(ker)) == 1 << len(ker), (rows, cols)
+
+    def test_small_shapes(self):
+        assert f2_echelon([]) == [] and f2_kernel([], 0) == []
+        assert f2_kernel([], 3) == [0b001, 0b010, 0b100]
+        assert f2_echelon([0, 0]) == [] and f2_kernel([0, 0], 0) == []
+        assert f2_echelon([0b110, 0b110, 0]) == [0b110]
+        assert f2_kernel([0b110, 0b110, 0], 3) == [0b001, 0b110]
+        # the third row is the sum of the first two
+        assert f2_echelon([0b011, 0b110, 0b101]) == [0b101, 0b110]
+        assert f2_kernel([0b011, 0b110, 0b101], 3) == [0b111]
+
+    def test_cases_cover_what_they_name(self):
+        def has_sum(rows):
+            return any(rows[k] == rows[i] ^ rows[j] and rows[i] and rows[j]
+                       and rows[i] != rows[j]
+                       for k in range(len(rows)) for i in range(k)
+                       for j in range(i + 1, k))
+
+        shapes = {
+            "no rows": sum(not rows for rows, _ in F2_CASES),
+            "no columns": sum(cols == 0 for _, cols in F2_CASES),
+            "zero row": sum(0 in rows for rows, _ in F2_CASES),
+            "repeated row": sum(len(set(r for r in rows if r)) < len([r for r in rows if r])
+                                for rows, _ in F2_CASES),
+            "sum of two rows": sum(has_sum(rows) for rows, _ in F2_CASES),
+            "zero column": sum(any(rows) and any(not any(w >> j & 1 for w in rows)
+                                                 for j in range(cols))
+                               for rows, cols in F2_CASES),
+        }
+        assert min(shapes.values()) >= 50, shapes
 
 
 class TestOddDeterminant:

@@ -35,13 +35,12 @@ def scaled_min_cycles(g, w):
 def cycle_space_oracle(g):
     """Independent enumeration: nonzero cycle-space members that are
     connected and 2-regular."""
-    from regma.exact import BitMatrix
-    from regma.matroid import _kernel_basis_masks, graphic
+    from regma.exact import f2_kernel
+    from regma.matroid import graphic
 
     if not g.is_connected():
         raise ValueError("oracle wants connected input")
-    rep = graphic(g).rep
-    basis = _kernel_basis_masks(rep)
+    basis = f2_kernel(graphic(g).rep.bits, g.m)
     members = [0]
     for b in basis:
         members += [x ^ b for x in members]

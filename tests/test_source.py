@@ -1,6 +1,8 @@
 """Rules on the library's source text."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,6 +32,16 @@ def test_stdlib_only():
                 found.add(node.module.split(".")[0])
     assert {"fractions", "dataclasses"} <= found
     assert sorted(found - sys.stdlib_module_names) == []
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # every CLI call and benchmark worker imports regma; multiprocessing is
+    # loaded only by verify_tables with jobs > 1
+    code = ("import sys, regma, regma.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _perfbench_constant(filename, name):
