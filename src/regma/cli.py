@@ -161,13 +161,22 @@ def _cmd_embed(args) -> int:
         ids = args.face.split(",")
         if not all(x.strip().isdecimal() and int(x) < g.m for x in ids):
             raise InputError(f"--face needs edge ids below {g.m}, got {args.face!r}")
+        edges = [int(x) for x in ids]
+        if len(set(edges)) < len(edges):
+            raise InputError(f"--face {args.face!r} repeats an edge id")
         try:
-            face = Cycle.from_edges(g, [int(x) for x in ids])
+            face = Cycle.from_edges(g, edges)
         except PreconditionError as exc:
             raise InputError(f"--face {args.face!r}: {exc}") from None
     if args.check:
-        return _check(args.check, EmbeddingCertificate.from_json,
-                      lambda cert: (verify_certificate(g, cert, face), ""))
+        def verify(cert: EmbeddingCertificate) -> tuple[bool, str]:
+            # the certificate must answer the question asked: chi >= --chi,
+            # and all signs +1 unless --nonorientable
+            ok = (verify_certificate(g, cert, face) and cert.chi >= args.chi
+                  and (args.nonorientable or cert.rotation.orientable()))
+            return ok, ""
+
+        return _check(args.check, EmbeddingCertificate.from_json, verify)
     orientable = not args.nonorientable
     cert = embeds_in(g, args.chi, orientable, face=face, want_max=args.max_chi)
     if cert is None:
@@ -288,9 +297,10 @@ def main(argv=None) -> int:
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--nonorientable", action="store_true")
     p.add_argument("--face", help="comma-separated edge ids to pin as a face")
-    p.add_argument("--max-chi", action="store_true",
-                   help="exhaust and report the maximum characteristic")
-    p.add_argument("--check")
+    alone = p.add_mutually_exclusive_group()
+    alone.add_argument("--max-chi", action="store_true",
+                       help="exhaust and report the maximum characteristic")
+    alone.add_argument("--check", help="verify a stored certificate instead")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_embed)
 

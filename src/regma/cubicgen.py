@@ -1,7 +1,10 @@
 """Isomorph-free generation of connected cubic simple graphs, plus the
 canonical labelling backing it. One search gives both the canonical ordering
 and the automorphism group: the group is the set of maps from the canonical
-ordering onto the other orderings with the same minimal encoding.
+ordering onto the other orderings with the same minimal encoding. The search
+is keyed by adjacency counts alone, with no colour refinement: 1-WL never
+splits a regular simple graph, and every graph generation labels is a simple
+cubic graph.
 
 Every connected cubic simple graph is grown from K4 by three moves, each
 child deduplicated by canonical form:
@@ -60,24 +63,6 @@ def _adjacency_counts(g: MultiGraph) -> list[list[int]]:
     return counts
 
 
-def _refine_colors(g: MultiGraph, counts: list[list[int]]) -> list[int]:
-    """Iterated neighborhood color refinement (1-WL); returns stable colors."""
-    colors = [(counts[v][v], g.degree(v)) for v in range(g.n)]
-    ids = {c: i for i, c in enumerate(sorted(set(colors)))}
-    cur = [ids[c] for c in colors]
-    while True:
-        sig = [
-            (cur[v], tuple(sorted((cur[u], counts[v][u])
-                                  for u in range(g.n) if counts[v][u] and u != v)))
-            for v in range(g.n)
-        ]
-        ids = {s: i for i, s in enumerate(sorted(set(sig)))}
-        nxt = [ids[s] for s in sig]
-        if nxt == cur:
-            return cur
-        cur = nxt
-
-
 def canonical_form(g: MultiGraph) -> str:
     """Canonical edge-list string; equal iff graphs are isomorphic (loop and
     parallel multiplicities included)."""
@@ -100,7 +85,7 @@ def _minimal_orders(g: MultiGraph) -> list[tuple[int, ...]]:
     order; the first is the canonical one.
 
     The vertex placed at depth k emits the column (negated adjacency counts
-    to the k placed vertices in order, loops, colour). Encodings compare
+    to the k placed vertices in order, loops). Encodings compare
     lexicographically, so at each depth only candidates achieving the minimal
     column are explored (ties all are). Negated counts keep the prefix
     connected and collapse most ties.
@@ -114,33 +99,25 @@ def _minimal_orders(g: MultiGraph) -> list[tuple[int, ...]]:
     exhaustive search, and every leaf of the exhaustive search with the
     minimal encoding is still reached.
 
-    Each open vertex holds its column as one integer: the rank of its
-    (loops, colour) tail minus its counts to the prefix as base-B digits,
-    B a power of two above every multiplicity. Integer order is column order,
-    and placing or unplacing a vertex updates only its neighbours."""
+    Each open vertex holds its column as one integer: its loop count minus
+    its counts to the prefix as base-B digits, B a power of two above every
+    multiplicity. Integer order is column order, and placing or unplacing a
+    vertex updates only its neighbours."""
     counts = _adjacency_counts(g)
-    colors = _refine_colors(g, counts)
     n = g.n
     if n == 0:
         return [()]
 
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    first_class = min(by_color.values(), key=lambda vs: (len(vs), colors[vs[0]]))
-
-    tails = [(counts[v][v], colors[v]) for v in range(n)]
-    rank = {t: i for i, t in enumerate(sorted(set(tails)))}
-    tail_bits = len(rank).bit_length()
+    key = [counts[v][v] for v in range(n)]
+    tail_bits = max(key).bit_length()
     digit_bits = max(map(max, counts)).bit_length()
     weight = [1 << (tail_bits + digit_bits * (n - 1 - i)) for i in range(n)]
     placed = 1 << (tail_bits + digit_bits * n + 1)  # above every open key
-    key = [rank[t] for t in tails]
     nbrs = [[(u, c) for u, c in enumerate(row) if c and u != v]
             for v, row in enumerate(counts)]
 
     perm = [0] * n
-    enc = [0] * n  # enc[0] is the same for every vertex of first_class
+    enc = [0] * n
     best_enc: list[int] = []
     leaves: list[tuple[int, ...]] = []  # the orderings encoding as best_enc
 
@@ -178,10 +155,7 @@ def _minimal_orders(g: MultiGraph) -> list[tuple[int, ...]]:
             place(v, k, -1)
         return improved
 
-    for v0 in first_class:
-        place(v0, 0, 1)
-        extend(1, not leaves)
-        place(v0, 0, -1)
+    extend(0, True)
     return leaves
 
 

@@ -1,34 +1,37 @@
 """Reference canonical labelling: the exhaustive search that the pruned
 `regma.cubicgen.canonical_order` must agree with. It visits every node whose
 column is minimal at its depth and never compares a partial encoding with the
-best complete one, so it is slow but obviously finds the minimal encoding."""
+best complete one, so it is slow but obviously finds the minimal encoding.
+It shares no code with `regma.cubicgen`."""
 
 from __future__ import annotations
 
-from regma.cubicgen import _adjacency_counts, _refine_colors
 from regma.graph import MultiGraph
+
+
+def adjacency_counts(g: MultiGraph) -> list[list[int]]:
+    """counts[u][v] = number of u-v edges; counts[v][v] = loops at v."""
+    counts = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        counts[u][v] += 1
+        if u != v:
+            counts[v][u] += 1
+    return counts
 
 
 def canonical_order(g: MultiGraph) -> tuple[int, ...]:
     """The vertex ordering realizing the minimal invariant encoding.
 
-    Columns emitted per labeled vertex are compared lexicographically, so at
-    each depth only candidates achieving the minimal column are explored
-    (ties all are). Adjacency counts to the prefix enter negated, which keeps
-    the prefix connected and collapses most ties."""
-    counts = _adjacency_counts(g)
-    colors = _refine_colors(g, counts)
+    The vertex placed at depth k emits the column (negated adjacency counts
+    to the k placed vertices in order, loops). Columns are compared
+    lexicographically, so at each depth, the first included, only candidates
+    achieving the minimal column are explored (ties all are). Adjacency
+    counts to the prefix enter negated, which keeps the prefix connected and
+    collapses most ties."""
+    counts = adjacency_counts(g)
     n = g.n
-    if n == 0:
-        return ()
-
-    by_color: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by_color.setdefault(c, []).append(v)
-    first_class = min(by_color.values(), key=lambda vs: (len(vs), colors[vs[0]]))
-
     best_enc: list[tuple[int, ...]] | None = None
-    best_perm: tuple[int, ...] | None = None
+    best_perm: tuple[int, ...] = ()
 
     def extend(perm: list[int], used: set[int], enc: list[tuple[int, ...]]):
         nonlocal best_enc, best_perm
@@ -39,7 +42,7 @@ def canonical_order(g: MultiGraph) -> tuple[int, ...]:
                 best_perm = tuple(perm)
             return
         scored = sorted(
-            (tuple(-counts[v][p] for p in perm) + (counts[v][v], colors[v]), v)
+            (tuple(-counts[v][p] for p in perm) + (counts[v][v],), v)
             for v in range(n) if v not in used
         )
         min_col = scored[0][0]
@@ -54,9 +57,7 @@ def canonical_order(g: MultiGraph) -> tuple[int, ...]:
             perm.pop()
             enc.pop()
 
-    for v0 in first_class:
-        extend([v0], {v0}, [(colors[v0], counts[v0][v0])])
-    assert best_perm is not None
+    extend([], set(), [])
     return best_perm
 
 

@@ -189,6 +189,48 @@ class TestEmbed:
                              "--check", str(path))
         assert rc == 1 and err.strip() == "certificate FAILED"
 
+    def test_check_reads_chi(self, tmp_path):
+        cert = tmp_path / "cert.json"
+        rc, _, _ = run_cli("embed", "builtin:k4", "--chi", "2", "--out", str(cert))
+        assert rc == 0
+        for chi, code in (("5", 1), ("2", 0), ("-100", 0)):
+            rc, out, err = run_cli("embed", "builtin:k4", "--chi", chi,
+                                   "--check", str(cert))
+            assert (rc, out) == (code, ""), chi
+            assert err.strip() == ("certificate ok" if code == 0
+                                   else "certificate FAILED")
+
+    def test_check_reads_orientability(self, tmp_path):
+        # the petersen graph has a projective-plane embedding but no
+        # orientable one with chi >= 1
+        cert = tmp_path / "cert.json"
+        rc, _, _ = run_cli("embed", "builtin:petersen", "--chi", "1",
+                           "--nonorientable", "--out", str(cert))
+        assert rc == 0
+        rc, _, _ = run_cli("embed", "builtin:petersen", "--chi", "1")
+        assert rc == 1
+        rc, _, err = run_cli("embed", "builtin:petersen", "--chi", "1",
+                             "--check", str(cert))
+        assert rc == 1 and err.strip() == "certificate FAILED"
+        rc, _, err = run_cli("embed", "builtin:petersen", "--chi", "1",
+                             "--nonorientable", "--check", str(cert))
+        assert rc == 0 and err.strip() == "certificate ok"
+
+    def test_max_chi_with_check_is_a_usage_error(self, tmp_path):
+        cert = tmp_path / "cert.json"
+        rc, _, _ = run_cli("embed", "builtin:k4", "--chi", "2", "--out", str(cert))
+        assert rc == 0
+        rc, out, err = run_cli("embed", "builtin:k4", "--chi", "2", "--max-chi",
+                               "--check", str(cert))
+        assert rc == 2 and out == ""
+        assert "not allowed with argument" in err and "certificate ok" not in err
+
+    def test_face_repeating_an_edge_exits_2(self):
+        rc, out, err = run_cli("embed", "builtin:k4", "--chi", "2",
+                               "--face", "0,1,3,0")
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_missing_file_exits_1(self):
         rc, _, err = run_cli("systole", "/nonexistent/graph.txt")
         assert rc == 1 and "error" in err

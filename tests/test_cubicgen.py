@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -69,6 +70,17 @@ class TestCanonicalForm:
             g2 = MultiGraph(g.n, tuple(sorted((perm[u], perm[v]))
                                        for u, v in g.edges))
             assert canonical_form(g) == canonical_form(g2)
+
+
+    def test_strings_pinned(self):
+        # verify-tables prints these strings (argmax_canonical), so a change
+        # of labelling must re-pin this digest and say so
+        strings = [canonical_form(g) for n in range(4, 13, 2)
+                   for g in generate_cubic(n)]
+        assert len(strings) == 112
+        digest = hashlib.sha256("\n".join(strings).encode()).hexdigest()
+        assert digest == ("269609aa7715465b3cec235c7fd33c92"
+                          "d0f46a7dd456f0be24515cb193077c61")
 
 
 class TestOracleCanonical:

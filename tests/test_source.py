@@ -179,6 +179,22 @@ def test_checkers_share_no_search_code_with_solvers():
     assert sorted(reached & SOLVER_SEARCH) == []
 
 
+def test_labelling_oracles_share_no_code_with_the_search():
+    # the reference labelling and automorphism group must not reuse the
+    # code they check, or a fault in it would pass its own reference
+    tests = SRC.parent.parent / "tests"
+    for name in ("oracle_canonical.py", "oracle_automorphisms.py"):
+        tree = ast.parse((tests / name).read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                modules.add(node.module)
+                modules.update(f"{node.module}.{a.name}" for a in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(a.name for a in node.names)
+        assert sorted(m for m in modules if m.startswith("regma.cubicgen")) == [], name
+
+
 # The solve loop and the checkers' oracles run on integers: the LP returns
 # numerators over its divisor and the oracles take and return integers on
 # that scale. Weights are scaled where Fractions enter (systole_weighted,
