@@ -157,7 +157,7 @@ def _cmd_c_rep(args) -> int:
 def _cmd_embed(args) -> int:
     g = load_graph(args.graph)
     face = None
-    if args.face:
+    if args.face is not None:
         ids = args.face.split(",")
         if not all(x.strip().isdecimal() and int(x) < g.m for x in ids):
             raise InputError(f"--face needs edge ids below {g.m}, got {args.face!r}")

@@ -183,8 +183,8 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
     (index sets) of an implicit family, by cutting planes: separate(lam), on
     lam's numerators over the LP divisor, returns the family's minimum on that
     scale and candidate rows; those lam violates join the LP. Returns the
-    Fraction lam, the value, the active rows in the order they joined, and
-    the LP duals as a distribution over rows.
+    Fraction lam, the value, the tight rows (active rows at the value, in
+    join order), and the LP duals as a distribution over rows.
 
     Every round must make progress: the family's minimum cannot exceed the
     LP value, and below it there must be a violated row not yet in the LP,
@@ -205,7 +205,8 @@ def solve_maxmin(n: int, seeds: Sequence[frozenset[int]], separate):
     # cost 1 - sum y is 0: the duals already form a distribution.
     dual = sorted(((s, Fraction(y, d)) for s, y in zip(rows, duals) if y),
                   key=lambda p: sorted(p[0]))
-    return tuple(Fraction(x, d) for x in lam), Fraction(t, d), rows, dual
+    tight = [s for s in rows if sum(lam[i] for i in s) == t]
+    return tuple(Fraction(x, d) for x in lam), Fraction(t, d), tight, dual
 
 
 def verify_maxmin(n: int, weights: Sequence[Rat], value: Rat, minimum, support,
@@ -275,8 +276,8 @@ def systole(g: MultiGraph) -> SystoleResult:
         per_edge = sorted(set(min_cycles_per_edge(g, lam).values()))
         return per_edge[0][0], [frozenset(ids) for _, ids in per_edge]
 
-    lam, t, rows, dual = solve_maxmin(g.m, _seed_cycles(g), separate)
-    res = SystoleResult(t, lam, tuple(Cycle(s) for s in rows if sum(lam[i] for i in s) == t),
+    lam, t, tight, dual = solve_maxmin(g.m, _seed_cycles(g), separate)
+    res = SystoleResult(t, lam, tuple(Cycle(s) for s in tight),
                         tuple((Cycle(s), y) for s, y in dual))
     if not verify_systole(g, res):
         raise VerificationError("systole certificate failed verification")

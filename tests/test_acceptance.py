@@ -2,6 +2,7 @@
 with its measured data (run with -s to see them; the long exhaustive runs
 for Betti 8 and 9 and the large generator counts are marked slow)."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -13,7 +14,7 @@ from conftest import random_connected_multigraph
 from oracle_cubic import KNOWN_COUNTS, labeled_connected_cubic_count
 from regma.catalog import NAMED_CYCLE_MODES, catalog, named_cycle
 from regma.cubicgen import automorphisms, canonical_form, generate_cubic
-from regma.exact import IntMatrix, odd_determinant_check
+from regma.exact import IntMatrix, format_rat, odd_determinant_check
 from regma.graph import MultiGraph, betti, girth, min_weight_cycle
 from regma.involutions import six_involutions, verify_involutions
 from regma.matroid import (WeightedRep, cographic, graphic, ksum_rep, r10,
@@ -22,6 +23,7 @@ from regma.optimize import (S_TABLE, bound_large_girth,
                             bound_small_cycle, cogirth, systole,
                             verify_cogirth, verify_systole)
 from regma.surface import embedding_systole_bound, embeds_in, verify_certificate
+from regma.tables import verify_tables
 
 from test_optimize import brute_force_systole
 
@@ -82,45 +84,51 @@ def test_criterion_2_exhaustive_b3_to_b7(exhaustive_small):
            f"b=7 argmax is F14 only, F13 = 8/27")
 
 
+@pytest.fixture(scope="module")
+def census_b9():
+    """The exhaustive items b = 3..9 of one verify_tables run at two jobs,
+    keyed by b, and the run's wall time."""
+    t0 = time.perf_counter()
+    report = verify_tables(9, exhaustive=True, jobs=2)
+    items = {i["b"]: i for i in report["items"] if i["kind"] == "exhaustive"}
+    return items, time.perf_counter() - t0
+
+
+def census_count(item):
+    return int(item["witness"].split()[0])
+
+
 @pytest.mark.slow
-def test_criterion_2_exhaustive_b8():
-    best = Fraction(0)
-    argmax = []
-    count = 0
-    for g in generate_cubic(14, three_edge_connected=True):
-        count += 1
-        v = systole(g).value
-        if v > best:
-            best, argmax = v, [g]
-        elif v == best:
-            argmax.append(g)
-    assert best == S_TABLE[8] == Fraction(2, 7)
-    assert count == 341
-    assert [canonical_form(g) for g in argmax] == [canonical_form(catalog("heawood"))]
-    report("2 (exhaustive b=8)", f"max over {count} graphs is 2/7, attained by "
+def test_criterion_2_exhaustive_b8(census_b9):
+    items, _ = census_b9
+    item = items[8]
+    assert item["status"] == "ok"
+    assert item["computed"] == format_rat(S_TABLE[8]) == "2/7"
+    assert census_count(item) == 341
+    assert item["argmax_canonical"] == [canonical_form(catalog("heawood"))]
+    report("2 (exhaustive b=8)", "max over 341 graphs is 2/7, attained by "
            "Heawood only")
 
 
+# sha256 of the 24 argmax_canonical strings at b = 9, joined by newlines
+B9_ARGMAX_SHA256 = "1789ad51c721b20e4fe515b5c591b51a93c79495a2830ead11446b019b8a503f"
+
+
 @pytest.mark.slow
-def test_criterion_2_exhaustive_b9():
-    best = Fraction(0)
-    argmax = []
-    count = 0
-    for g in generate_cubic(16, three_edge_connected=True):
-        count += 1
-        v = systole(g).value
-        if v > best:
-            best, argmax = v, [g]
-        elif v == best:
-            argmax.append(g)
-    assert best == S_TABLE[9] == Fraction(1, 4)
-    assert count == 2828
-    kinds = sorted(canonical_form(g) for g in argmax)
+def test_criterion_2_exhaustive_b9(census_b9):
+    items, seconds = census_b9
+    item = items[9]
+    assert item["status"] == "ok"
+    assert item["computed"] == format_rat(S_TABLE[9]) == "1/4"
+    assert census_count(item) == 2828
+    kinds = item["argmax_canonical"]
     assert len(kinds) == 24
     assert canonical_form(catalog("moebius_kantor")) in kinds
+    digest = hashlib.sha256("\n".join(kinds).encode()).hexdigest()
+    assert digest == B9_ARGMAX_SHA256
     report("2 (exhaustive b=9)",
-           f"max over {count} graphs is 1/4, attained by {len(kinds)} graphs "
-           f"(girths {sorted({girth(g) for g in argmax})})")
+           f"max over 2828 graphs is 1/4, attained by 24 classes "
+           f"(sha256 {digest[:12]}); census b = 3..9 took {seconds:.1f}s")
 
 
 COGIRTH_CASES = (

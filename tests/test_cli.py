@@ -158,6 +158,10 @@ class TestEmbed:
         cert = json.loads(out)
         assert any(sorted(d >> 1 for d in f) == [0, 1, 3] for f in cert["faces"])
 
+    def test_empty_face_is_malformed(self):
+        rc, out, err = run_cli("embed", "builtin:k4", "--chi", "2", "--face", "")
+        assert rc == 2 and out == "" and "--face needs edge ids" in err
+
     def test_max_chi(self):
         rc, out, _ = run_cli("embed", "builtin:k4", "--chi", "-2", "--max-chi")
         assert rc == 0 and json.loads(out)["chi"] == 2

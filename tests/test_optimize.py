@@ -649,21 +649,32 @@ class TestMaxMin:
         def separate(lam):
             return min((sum(lam[i] for i in r), sorted(r)) for r in family)[0], family
 
-        lam, t, rows, dual = solve_maxmin(3, family[:1], separate)
+        lam, t, tight, dual = solve_maxmin(3, family[:1], separate)
         assert t == Fraction(2, 3) and lam == (Fraction(1, 3),) * 3
-        assert sorted(map(sorted, rows)) == [[0, 1], [0, 2], [1, 2]]
+        assert sorted(map(sorted, tight)) == [[0, 1], [0, 2], [1, 2]]
         assert sorted((sorted(s), y) for s, y in dual) == [
             ([0, 1], Fraction(1, 3)), ([0, 2], Fraction(1, 3)), ([1, 2], Fraction(1, 3))]
         ok = verify_maxmin(3, lam, t, lambda w: separate(w)[0], lambda s: s,
-                           rows, dual)
+                           tight, dual)
         assert ok is True
         # a lower value, a short dual or a tight row of the wrong weight fail
         assert not verify_maxmin(3, lam, Fraction(1, 2), lambda w: separate(w)[0],
-                                 lambda s: s, rows, dual)
+                                 lambda s: s, tight, dual)
         assert not verify_maxmin(3, lam, t, lambda w: separate(w)[0],
-                                 lambda s: s, rows, dual[:2])
+                                 lambda s: s, tight, dual[:2])
         assert not verify_maxmin(3, lam, t, lambda w: separate(w)[0],
                                  lambda s: s, [frozenset({0})], dual)
+
+    def test_only_tight_rows_returned(self):
+        # the seed {0,1,2} stays active but weighs 1 at the optimum 2/3
+        pairs = [frozenset(r) for r in ({0, 1}, {1, 2}, {0, 2})]
+
+        def separate(lam):
+            return min(sum(lam[i] for i in r) for r in pairs), pairs
+
+        lam, t, tight, _ = solve_maxmin(3, [frozenset({0, 1, 2})], separate)
+        assert t == Fraction(2, 3)
+        assert sorted(map(sorted, tight)) == [[0, 1], [0, 2], [1, 2]]
 
     def test_faulty_oracle_raises(self):
         family = [frozenset(r) for r in ({0, 1}, {1, 2}, {0, 2})]
