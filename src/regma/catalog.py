@@ -109,11 +109,10 @@ def _f12() -> MultiGraph:
     return MultiGraph(12, F12_EDGES)
 
 
-def _check(g: MultiGraph, n: int, m: int, want_girth, want_betti: int,
-           cubic: bool = True) -> MultiGraph:
+def _check(g: MultiGraph, n: int, m: int, want_girth, want_betti: int) -> MultiGraph:
     if g.n != n or g.m != m:
         raise VerificationError("catalog edge list has wrong size")
-    if cubic and any(g.degree(v) != 3 for v in range(g.n)):
+    if any(g.degree(v) != 3 for v in range(g.n)):
         raise VerificationError("catalog graph is not cubic")
     if girth(g) != want_girth:
         raise VerificationError(f"girth {girth(g)} != {want_girth}")

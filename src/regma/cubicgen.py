@@ -43,24 +43,13 @@ forms are distinct. Tests tie the set to the labeled pair-model count.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import PreconditionError, VerificationError, check_guard
 from .graph import MultiGraph, betti, girth, is_three_edge_connected
-
-
-def _adjacency_counts(g: MultiGraph) -> list[list[int]]:
-    """counts[u][v] = number of u-v edges; counts[v][v] = loops at v."""
-    counts = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        if u == v:
-            counts[u][u] += 1
-        else:
-            counts[u][v] += 1
-            counts[v][u] += 1
-    return counts
 
 
 def canonical_form(g: MultiGraph) -> str:
@@ -102,19 +91,22 @@ def _minimal_orders(g: MultiGraph) -> list[tuple[int, ...]]:
     Each open vertex holds its column as one integer: its loop count minus
     its counts to the prefix as base-B digits, B a power of two above every
     multiplicity. Integer order is column order, and placing or unplacing a
-    vertex updates only its neighbours."""
-    counts = _adjacency_counts(g)
+    vertex updates only its neighbours. Loop and neighbour counts are read
+    off `g.incidence`; the order of a vertex's neighbours does not matter,
+    because placing only adds to their keys."""
     n = g.n
     if n == 0:
         return [()]
 
-    key = [counts[v][v] for v in range(n)]
+    key, nbrs = [], []  # loops at v; (u, number of u-v edges) for u != v
+    for v, pairs in enumerate(g.incidence):
+        counts = Counter(y for _, y in pairs)
+        key.append(counts.pop(v, 0))
+        nbrs.append(list(counts.items()))
     tail_bits = max(key).bit_length()
-    digit_bits = max(map(max, counts)).bit_length()
+    digit_bits = max(key + [c for row in nbrs for _, c in row]).bit_length()
     weight = [1 << (tail_bits + digit_bits * (n - 1 - i)) for i in range(n)]
     placed = 1 << (tail_bits + digit_bits * n + 1)  # above every open key
-    nbrs = [[(u, c) for u, c in enumerate(row) if c and u != v]
-            for v, row in enumerate(counts)]
 
     perm = [0] * n
     enc = [0] * n

@@ -2,10 +2,12 @@
 connectivity, and reduction machinery used by the systole computations.
 
 Edges carry stable integer ids 0..m-1 given by their position in the edge
-list. The cycle searches take nonnegative integer weights, one per edge id,
-and return integers; Fraction weights are checked and scaled once where
-they enter (`optimize.systole_weighted`, `optimize.verify_maxmin`), and a
-positive scale keeps every order and tie.
+list. Every traversal reads one adjacency view, `MultiGraph.incidence`:
+each vertex's (edge id, other end) pairs, a loop once with the vertex as
+its other end. The cycle searches take nonnegative integer weights, one per
+edge id, and return integers; Fraction weights are checked and scaled once
+where they enter (`optimize.systole_weighted`, `optimize.verify_maxmin`),
+and a positive scale keeps every order and tie.
 
 Minimum cycles come from one search, `min_cycles_per_edge`: a minimum-weight
 cycle through each edge, by a Dijkstra whose labels carry the sorted edge
@@ -57,23 +59,19 @@ class MultiGraph:
         return len(self.edges)
 
     @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """incidence[v] = edge ids at v; a loop appears once."""
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """incidence[v] = the (edge id, other end) pairs at v, in edge-id
+        order; a loop appears once, with v as its other end."""
         inc = [[] for _ in range(self.n)]
         for e, (u, v) in enumerate(self.edges):
-            inc[u].append(e)
+            inc[u].append((e, v))
             if v != u:
-                inc[v].append(e)
+                inc[v].append((e, u))
         return tuple(tuple(x) for x in inc)
 
     def degree(self, v: int) -> int:
         """Loops contribute 2."""
-        return sum(2 if self.edges[e][0] == self.edges[e][1] else 1
-                   for e in self.incidence[v])
-
-    def other_end(self, e: int, v: int) -> int:
-        u, w = self.edges[e]
-        return w if u == v else u
+        return sum(2 if y == v else 1 for _, y in self.incidence[v])
 
     def components(self) -> list[list[int]]:
         seen = [False] * self.n
@@ -86,8 +84,7 @@ class MultiGraph:
             stack = [s]
             while stack:
                 x = stack.pop()
-                for e in self.incidence[x]:
-                    y = self.other_end(e, x)
+                for _, y in self.incidence[x]:
                     if not seen[y]:
                         seen[y] = True
                         comp.append(y)
@@ -164,12 +161,10 @@ class Cycle:
         stack = [start]
         while stack:
             x = stack.pop()
-            for e in g.incidence[x]:
-                if e in ids:
-                    y = g.other_end(e, x)
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
+            for e, y in g.incidence[x]:
+                if e in ids and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
         if seen != verts:
             raise PreconditionError("cycle edges must induce a connected subgraph")
         return Cycle(ids)
@@ -193,8 +188,7 @@ def _bfs_tree(g: MultiGraph) -> dict[int, tuple[int, int]]:
     parent: dict[int, tuple[int, int]] = {}
     queue = [0] if g.n else []
     for x in queue:
-        for e in g.incidence[x]:
-            y = g.other_end(e, x)
+        for e, y in g.incidence[x]:
             if y != 0 and y not in parent:
                 parent[y] = (x, e)
                 queue.append(y)
@@ -236,18 +230,16 @@ def fundamental_cycles(g: MultiGraph) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def edge_cut_below(g: MultiGraph, k: int) -> tuple[int, ...] | None:
-    """Smallest disconnecting edge set of size < k if one exists, else None;
-    ties broken lexicographically. Requires g connected and k <= 3. The cut
+def edge_cut_below(g: MultiGraph) -> tuple[int, ...] | None:
+    """Smallest disconnecting edge set of size below three if one exists,
+    else None; ties broken lexicographically. Requires g connected. The cut
     space is the orthogonal complement of the cycle space, so with mask[e]
     the set of fundamental cycles through e, the bridges are the edges of
     mask 0 and, when there are none, the 2-edge cuts are the pairs of equal
     masks."""
-    if k > 3:
-        raise PreconditionError("edge_cut_below finds cuts of size 1 or 2 only (k <= 3)")
     if not g.is_connected():
         raise DisconnectedGraphError("edge_cut_below requires a connected graph")
-    if g.n <= 1 or k <= 1:
+    if g.n <= 1:
         return None
     mask = [0] * g.m
     for i, cycle in enumerate(fundamental_cycles(g)):
@@ -255,8 +247,6 @@ def edge_cut_below(g: MultiGraph, k: int) -> tuple[int, ...] | None:
             mask[e] |= 1 << i
     if 0 in mask:
         return (mask.index(0),)
-    if k <= 2:
-        return None
     classes: dict[int, list[int]] = {}
     for e, x in enumerate(mask):
         classes.setdefault(x, []).append(e)
@@ -265,7 +255,7 @@ def edge_cut_below(g: MultiGraph, k: int) -> tuple[int, ...] | None:
 
 def is_three_edge_connected(g: MultiGraph) -> bool:
     """No cutset of size <= 2 ("3-connected" throughout this package)."""
-    return g.is_connected() and edge_cut_below(g, 3) is None
+    return g.is_connected() and edge_cut_below(g) is None
 
 
 def min_weight_cycle(g: MultiGraph, iw: Sequence[int]) -> tuple[Cycle, int]:
@@ -288,33 +278,30 @@ def min_cycles_per_edge(g: MultiGraph, iw: Sequence[int]
     """For each edge on a cycle, a minimum-weight cycle through it under the
     nonnegative integer edge weights iw, as (weight, sorted edge ids): a
     loop alone, else the edge e=(u,v) plus the u-v path avoiding e found by
-    `_lex_dijkstra`."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        if u != v:
-            adj[u].append((e, v))
-            adj[v].append((e, u))
+    `_lex_dijkstra` over `g.incidence`."""
     out: dict[int, tuple[int, tuple[int, ...]]] = {}
     for e, (u, v) in enumerate(g.edges):
         if u == v:
             out[e] = (iw[e], (e,))
             continue
-        label = _lex_dijkstra(adj, iw, u, v, avoid_edge=e)
+        label = _lex_dijkstra(g.incidence, iw, u, v, avoid_edge=e)
         if label is not None:
             dist, path = label
             out[e] = (dist + iw[e], tuple(sorted(path + (e,))))
     return out
 
 
-def _lex_dijkstra(adj: list[list[tuple[int, int]]], iw: Sequence[int], src: int,
-                  dst: int, avoid_edge: int):
+def _lex_dijkstra(adj: Sequence[Sequence[tuple[int, int]]], iw: Sequence[int],
+                  src: int, dst: int, avoid_edge: int):
     """A minimum-weight src-dst path avoiding one edge, as the label
-    (weight, sorted edge ids), over adj[x] = [(edge, other end)] without
-    loops. Dijkstra on the weight is exact for nonnegative weights; ties are
-    broken by the sorted ids, deterministically but not always to the least
-    set, because appending a zero-weight edge can make a label smaller: a
-    path (12,) that loses to (8,) at dst would win as (3, 12) after its
-    zero-weight edge 3, but dst is already settled."""
+    (weight, sorted edge ids), over adj[x] = [(edge, other end)] as in
+    `MultiGraph.incidence`. A loop's other end is x itself, settled before
+    its pairs are read, so loops are skipped as done. Dijkstra on the weight
+    is exact for nonnegative weights; ties are broken by the sorted ids,
+    deterministically but not always to the least set, because appending a
+    zero-weight edge can make a label smaller: a path (12,) that loses to
+    (8,) at dst would win as (3, 12) after its zero-weight edge 3, but dst is
+    already settled."""
     best: list[tuple[int, tuple[int, ...]] | None] = [None] * len(adj)
     best[src] = (0, ())
     heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), src)]
@@ -370,8 +357,7 @@ def _dijkstra_dist(g: MultiGraph, iw: Sequence[int], src: int, dst: int,
         if x in done:
             continue
         done.add(x)
-        for e in g.incidence[x]:
-            y = g.other_end(e, x)
+        for e, y in g.incidence[x]:
             if e == avoid_edge or y in done:
                 continue
             nd = dx + iw[e]
@@ -390,13 +376,8 @@ def split_vertex(g: MultiGraph, v: int) -> MultiGraph:
         raise PreconditionError(f"vertex {v} has degree < 4")
     if not is_three_edge_connected(g):
         raise PreconditionError("split_vertex requires a 3-edge-connected graph")
-    ends = []
-    for e in g.incidence[v]:
-        u, x = g.edges[e]
-        if u == v:
-            ends.append((e, 0))
-        if x == v:
-            ends.append((e, 1))
+    ends = [(e, side) for e, _ in g.incidence[v] for side in (0, 1)
+            if g.edges[e][side] == v]
     for pair in combinations(range(len(ends)), 2):
         cand = _apply_split(g, v, [ends[i] for i in pair])
         if is_three_edge_connected(cand):
@@ -456,7 +437,7 @@ def reduce_to_cubic(g: MultiGraph) -> tuple[MultiGraph, tuple[ReductionStep, ...
             cur = MultiGraph(cur.n, cur.edges + ((u, v),))
             trace.append(ReductionStep("join_components", (u, v), cur))
             continue
-        cut = edge_cut_below(cur, 3)
+        cut = edge_cut_below(cur)
         if cut is not None:
             cur = _contract(cur, cut[0])
             kind = "contract_bridge" if len(cut) == 1 else "contract_two_cut"

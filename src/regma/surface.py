@@ -229,10 +229,8 @@ def _rotation_candidates(g: MultiGraph) -> Iterator[tuple[tuple[int, ...], ...]]
     each vertex is pinned (cyclic order), remaining darts permuted. At the
     first vertex of degree >= 3 the second dart is less than the last one;
     the mirror image, every rotation reversed, is the one left out."""
-    darts_at = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        darts_at[u].append(2 * e)
-        darts_at[v].append(2 * e + 1)
+    darts_at = [[2 * e + side for e, _ in g.incidence[v] for side in (0, 1)
+                 if g.edges[e][side] == v] for v in range(g.n)]
     pin = next((v for v in range(g.n) if len(darts_at[v]) >= 3), None)
     per_vertex = []
     for v in range(g.n):

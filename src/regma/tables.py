@@ -97,16 +97,22 @@ def verify_tables(max_rank: int, exhaustive: bool = False, jobs: int = 1) -> dic
             "ok": all(i["status"] == "ok" for i in items)}
 
 
-def _exhaustive_item(b: int, jobs: int) -> dict:
-    t0 = time.perf_counter()
+def census(b: int, jobs: int) -> tuple[list[MultiGraph], list[Fraction]]:
+    """Every 3-edge-connected cubic graph with Betti number b, in generation
+    order, and the systole of each, solved in min(jobs, CPUs, graphs)
+    processes."""
     graphs = list(generate_cubic(2 * b - 2, three_edge_connected=True))
     procs = min(jobs, os.cpu_count() or 1, len(graphs))
     if procs > 1:
         from multiprocessing import Pool  # loaded only when it is used
         with Pool(procs) as pool:
-            values = pool.map(_systole_value, graphs)
-    else:
-        values = [_systole_value(g) for g in graphs]
+            return graphs, pool.map(_systole_value, graphs)
+    return graphs, [_systole_value(g) for g in graphs]
+
+
+def _exhaustive_item(b: int, jobs: int) -> dict:
+    t0 = time.perf_counter()
+    graphs, values = census(b, jobs)
     best = max(values)
     named = {best, EXTRA_SYSTOLES["f13"]} if b == 7 else {best}
     keyed = [(v, canonical_form(g)) for g, v in zip(graphs, values) if v in named]

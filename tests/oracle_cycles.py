@@ -1,10 +1,9 @@
 """Reference cycle searches. `enumerate_cycles` lists every simple cycle by
 brute force, for tests that take a minimum or a count over all cycles. The
 Fraction `min_cycles_per_edge` is what `regma.graph.min_cycles_per_edge`
-must agree with label for label. It adds the weights as Fractions and looks
-up each edge's ends in the graph on every relaxation, so it needs no
-argument that scaling the weights to integers keeps every order and every
-tie."""
+must agree with label for label. It adds the weights as Fractions, so it
+needs no argument that scaling the weights to integers keeps every order
+and every tie."""
 
 from __future__ import annotations
 
@@ -30,10 +29,9 @@ def enumerate_cycles(g: MultiGraph) -> list[Cycle]:
         ]
         while stack:
             x, used, verts = stack.pop()
-            for e in g.incidence[x]:
-                if e <= e0 or e in used or len(set(g.edges[e])) == 1:
+            for e, y in g.incidence[x]:
+                if e <= e0 or e in used or y == x:
                     continue
-                y = g.other_end(e, x)
                 if y == u0:
                     out.append(Cycle(used | {e}))
                 elif y not in verts:
@@ -78,11 +76,8 @@ def _lex_dijkstra(g: MultiGraph, w: Sequence[Fraction], src: int, dst: int,
         done.add(x)
         if x == dst:
             return (dist, path)
-        for e in g.incidence[x]:
-            if e == avoid_edge or len(set(g.edges[e])) == 1:
-                continue
-            y = g.other_end(e, x)
-            if y in done:
+        for e, y in g.incidence[x]:
+            if e == avoid_edge or y in done:
                 continue
             nd = dist + w[e]
             npath = tuple(sorted(path + (e,)))

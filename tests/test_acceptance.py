@@ -23,7 +23,7 @@ from regma.optimize import (S_TABLE, bound_large_girth,
                             bound_small_cycle, cogirth, systole,
                             verify_cogirth, verify_systole)
 from regma.surface import embedding_systole_bound, embeds_in, verify_certificate
-from regma.tables import verify_tables
+from regma.tables import census, verify_tables
 
 from test_optimize import brute_force_systole
 
@@ -57,12 +57,9 @@ def test_criterion_1_exact_systole_values():
 
 @pytest.fixture(scope="module")
 def exhaustive_small():
-    """Systoles of every 3-edge-connected cubic graph for b = 3..7."""
-    out = {}
-    for b in range(3, 8):
-        graphs = list(generate_cubic(2 * b - 2, three_edge_connected=True))
-        out[b] = [(g, systole(g).value) for g in graphs]
-    return out
+    """Systoles of every 3-edge-connected cubic graph for b = 3..7, as
+    (graph, value) pairs."""
+    return {b: list(zip(*census(b, jobs=1))) for b in range(3, 8)}
 
 
 def test_criterion_2_exhaustive_b3_to_b7(exhaustive_small):
@@ -265,7 +262,7 @@ def rank6_corpus():
     tri = ("e0", "e4", "e1")
     corpus.append(("sum3(k5,k5)", sum3(k5, tri, k5, tri)))
     mc33 = cographic(catalog("k33"))
-    star = tuple(f"e{e}" for e in catalog("k33").incidence[0])
+    star = tuple(f"e{e}" for e, _ in catalog("k33").incidence[0])
     corpus.append(("sum3(c33,c33)", sum3(mc33, star, mc33, star)))
     corpus.append(("sum3(k5,c33)", sum3(k5, tri, mc33, star)))
     return corpus

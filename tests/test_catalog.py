@@ -53,7 +53,7 @@ class TestObstructionGraphs:
         from regma.graph import edge_cut_below
 
         f11 = catalog("f11")
-        assert edge_cut_below(f11, 3) is not None
+        assert edge_cut_below(f11) is not None
 
     def test_f12_structure(self):
         f12 = catalog("f12")

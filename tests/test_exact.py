@@ -289,7 +289,7 @@ class TestOddDeterminantOracle:
         from regma.matroid import cographic, graphic, sum2, sum3
 
         k5, k33 = catalog("k5"), catalog("k33")
-        star = [f"e{e}" for e in k33.incidence[0]]
+        star = [f"e{e}" for e, _ in k33.incidence[0]]
         tri = ["e0", "e4", "e1"]
         lifts = [FANO, R10]
         for name in ("k4", "k5", "k33", "petersen"):

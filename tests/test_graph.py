@@ -72,6 +72,29 @@ class TestBetti:
         assert betti(sub) == betti(k4)
 
 
+class TestIncidence:
+    def test_pairs_against_the_edge_list(self):
+        # incidence[v] is (edge id, other end) per edge at v in id order, a
+        # loop once with v as its other end; degree counts a loop twice
+        rng = random.Random(3636)
+        seen = {"empty": 0, "isolated": 0, "loop": 0, "parallel": 0}
+        for _ in range(500):
+            g, _ = random_weighted_multigraph(rng)
+            want = tuple(tuple((e, b if a == v else a)
+                               for e, (a, b) in enumerate(g.edges) if v in (a, b))
+                         for v in range(g.n))
+            assert g.incidence == want, g
+            for v in range(g.n):
+                loops = g.edges.count((v, v))
+                others = sum(v in e for e in g.edges) - loops
+                assert g.degree(v) == 2 * loops + others, (g, v)
+            seen["empty"] += g.n == 0
+            seen["isolated"] += any(not inc for inc in want) and g.m > 0
+            seen["loop"] += any(u == v for u, v in g.edges)
+            seen["parallel"] += len({tuple(sorted(e)) for e in g.edges}) < g.m
+        assert min(seen.values()) > 20
+
+
 def brute_force_girth(g):
     return min((len(c) for c in enumerate_cycles(g)), default=float("inf"))
 
@@ -122,24 +145,20 @@ class TestGirth:
 
 class TestEdgeCut:
     def test_k4_none(self, k4):
-        assert edge_cut_below(k4, 3) is None
+        assert edge_cut_below(k4) is None
 
     def test_bridge(self):
-        assert edge_cut_below(MultiGraph(3, ((0, 1), (1, 2))), 2) == (0,)
+        assert edge_cut_below(MultiGraph(3, ((0, 1), (1, 2)))) == (0,)
 
     def test_f11_two_cut(self):
         f11 = catalog("f11")
-        cut = edge_cut_below(f11, 3)
+        cut = edge_cut_below(f11)
         assert cut is not None and len(cut) == 2
         assert nx_components(f11, set(cut)) == 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            edge_cut_below(MultiGraph(2, ()), 3)
-
-    def test_cuts_of_three_or_more_rejected(self, k4):
-        with pytest.raises(PreconditionError):
-            edge_cut_below(k4, 4)
+            edge_cut_below(MultiGraph(2, ()))
 
 
 def nx_components(g, removed):
@@ -169,7 +188,8 @@ class TestEdgeCutOracles:
             g = random_multigraph(rng)
             bridges = [e for e in range(g.m) if nx_components(g, {e}) > 1]
             want = (bridges[0],) if bridges else None
-            assert edge_cut_below(g, 2) == want, g
+            cut = edge_cut_below(g)
+            assert (cut if cut is not None and len(cut) == 1 else None) == want, g
             seen["bridge" if want else "none"] += 1
             seen["loop"] += any(u == v for u, v in g.edges)
             seen["parallel"] += len({tuple(sorted(e)) for e in g.edges}) < g.m
@@ -182,7 +202,7 @@ class TestEdgeCutOracles:
             cuts = [c for k in (1, 2) for c in combinations(range(g.m), k)
                     if nx_components(g, set(c)) > 1]
             want = min(cuts, key=lambda c: (len(c), c), default=None)
-            assert edge_cut_below(g, 3) == want, g
+            assert edge_cut_below(g) == want, g
             seen["none" if want is None else "bridge" if len(want) == 1 else "pair"] += 1
         assert min(seen.values()) > 20
 
@@ -414,7 +434,7 @@ class TestReduceToCubic:
             red, trace = reduce_to_cubic(g)
             assert betti(red) == betti(g)
             assert all(red.degree(v) == 3 for v in range(red.n))
-            assert edge_cut_below(red, 3) is None
+            assert edge_cut_below(red) is None
             assert {s.kind for s in trace} <= allowed
 
 

@@ -256,7 +256,7 @@ class TestSums:
         # stars of a vertex in each copy, glued; cographic of the vertex-
         # identified graph per the gluing description
         m1, m2 = cographic(k33), cographic(k33)
-        star = [f"e{e}" for e in k33.incidence[0]]
+        star = [f"e{e}" for e, _ in k33.incidence[0]]
         s = sum3(m1, star, m2, star)
         assert s.rank == 6 and s.size == 12
         # glue graphs: remove vertex 0 from each copy; identify the three
@@ -378,7 +378,7 @@ class TestKsumRep:
 
     def test_three_sum_regular(self, k33):
         m = cographic(k33)
-        star = [m.label_index(f"e{e}") for e in k33.incidence[0]]
+        star = [m.label_index(f"e{e}") for e, _ in k33.incidence[0]]
         idx = _signed_triple(m, star)
         out = ksum_rep(WeightedRep.uniform(m.lift),
                        WeightedRep.uniform(m.lift), 3, (idx, idx))

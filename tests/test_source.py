@@ -275,3 +275,56 @@ def test_public_methods_have_users():
     unread = [name for name, node in methods if node.name not in benchmark
               and not any(node.name in names for unit, names in read_by if unit is not node)]
     assert sorted(unread) == []
+
+
+def _defaulted_parameters(fn, method):
+    """(position or None, name) of each parameter of fn that has a default;
+    the position counts from the first argument a call passes, so it skips
+    a method's self."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = 1 if method else 0
+    out = [(i - first, a.arg) for i, a in enumerate(positional)
+           if i >= len(positional) - len(fn.args.defaults)]
+    out += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def test_defaulted_parameters_are_set_by_some_caller():
+    # a default that no call in the library or the benchmark overrides is an
+    # option nobody sets: the parameter and the branches behind it should
+    # go. Calls are matched by name, a private name only within its module,
+    # and a call inside the function's own body does not count
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.rglob("*.py"))}
+    benchmark = {f"perfbench/{path.stem}": ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted((SRC.parent.parent / "perfbench").glob("*.py"))}
+    calls = [(module, node) for module, tree in {**trees, **benchmark}.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    exempt = set(PAPER_API) | {"cli.main"}
+    unset, checked = [], 0
+    for module, tree in trees.items():
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in node.decorator_list)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in exempt \
+                    or f"{module}.{fn.name}" in exempt:
+                continue
+            callers = [call for where, call in calls
+                       if (getattr(call.func, "id", None)
+                           or getattr(call.func, "attr", None)) == fn.name
+                       and (fn.name[:1] != "_" or where == module)
+                       and not (where == module
+                                and fn.lineno <= call.lineno <= fn.end_lineno)]
+            for position, name in _defaulted_parameters(fn, id(fn) in methods):
+                checked += 1
+                if not any(
+                        any(isinstance(a, ast.Starred) for a in call.args)
+                        or (position is not None and len(call.args) > position)
+                        or any(k.arg in (name, None) for k in call.keywords)
+                        for call in callers):
+                    unset.append(f"{module}.{fn.name}({name})")
+    assert checked > 5
+    assert sorted(unset) == []
